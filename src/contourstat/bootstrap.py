@@ -5,15 +5,21 @@ mean, and records its chord distance to the full-sample mean.  The
 (1 - alpha) empirical quantile of those distances is the region radius: the
 confidence region is the chord-distance ball of that radius around the
 sample mean.  Resamples use independent substreams keyed by (seed, index),
-so the result is identical for any number of worker threads.
+so the result is a pure function of the sample and the seed.
+
+Every resampled mean matrix (1/n) sum c_i gamma_i gamma_i^H lives in the span
+of the n sample preshapes, so its top eigenvector does too.  The resamples
+therefore run on the d-dimensional coordinates of the sample in an
+orthonormal basis of span{1, gamma_1..gamma_n}, d = min(k, n + 1), and each
+mean is lifted back to C^k; this replaces a k x k eigenproblem per resample
+by a d x d one (Kent 1994, the dual form of the complex Bingham problem).
 """
 
 from __future__ import annotations
 
 import logging
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
+import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -111,10 +117,11 @@ def bootstrap_region(
 ) -> BootstrapRegion:
     """Bootstrap confidence region for the extrinsic mean shape.
 
-    Deterministic given ``seed`` and independent of ``threads`` (resample i
-    always uses the substream keyed by (seed, i), and the reduction is
-    ordered by resample index).  ``threads`` defaults to the SHAPE_THREADS
-    environment variable, else 1.
+    Deterministic given ``seed``: resample i always uses the substream keyed
+    by (seed, i).  When n + 1 < k the resamples run on the sample's
+    coordinates in a basis of its span (see the module docstring), which
+    gives the same means, spectral gaps and focal retries as the k x k
+    problem up to roundoff.  ``threads`` is deprecated and ignored.
     """
     if len(sample) < 2:
         raise ValueError(f"need at least 2 shapes, got {len(sample)}")
@@ -122,18 +129,24 @@ def bootstrap_region(
         raise ValueError(f"need B >= 50 resamples, got {B}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if threads is None:
-        threads = int(os.environ.get("SHAPE_THREADS", "1"))
+    if threads is not None:
+        warnings.warn(
+            "bootstrap_region(threads=...) is deprecated and ignored",
+            DeprecationWarning,
+            stacklevel=2,
+        )
     mean, _ = extrinsic_mean(sample, gap_tol)
-
-    def one(i: int) -> Preshape:
-        return resample_mean(sample, _substream(seed, i), gap_tol)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            boot = list(pool.map(one, range(B)))
+    gam = np.stack([s.coords for s in sample])
+    n, k = gam.shape
+    if n + 1 < k:
+        basis = _span_basis(gam)
+        reduced = [Preshape(c) for c in gam @ basis.conj()]
+        boot = [
+            Preshape(basis @ resample_mean(reduced, _substream(seed, i), gap_tol).coords)
+            for i in range(B)
+        ]
     else:
-        boot = [one(i) for i in range(B)]
+        boot = [resample_mean(sample, _substream(seed, i), gap_tol) for i in range(B)]
     dist = np.array([chord_distance(b, mean) for b in boot])
     radius = float(np.sort(dist)[_quantile_index(alpha, B) - 1])
     return BootstrapRegion(
@@ -144,6 +157,24 @@ def bootstrap_region(
         alpha=alpha,
         included=dist <= radius,
     )
+
+
+def _span_basis(gam: np.ndarray) -> np.ndarray:
+    """Orthonormal k x (n + 1) basis of span{1, gamma_1..gamma_n} (rows of ``gam``).
+
+    The basis maps the constant vector of C^(n+1) onto that of C^k, so it
+    carries centered vectors to centered vectors in both directions.
+    """
+    n, k = gam.shape
+    ones = np.full((k, 1), 1.0 / math.sqrt(k))
+    q, _ = np.linalg.qr(np.hstack((ones, gam.T)))
+    q[:, 0] = ones[:, 0]  # QR leaves the sign of the first column to chance
+    # Householder reflection swapping e_1 and the unit constant vector of C^d
+    d = n + 1
+    v = np.full(d, 1.0 / math.sqrt(d))
+    v[0] -= 1.0
+    reflection = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
+    return q @ reflection
 
 
 def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:

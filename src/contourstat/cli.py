@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +29,7 @@ from .contour import (
     Contour,
     ParamCurve,
     StoppingTimes,
+    _signed_area,
     canonicalize,
     evaluate,
     relative_length_error,
@@ -218,15 +218,21 @@ def cmd_approx(config: RunConfig) -> None:
 
 def _approx_one(curve: ParamCurve, k: int, rng: np.random.Generator):
     ref_fracs = StoppingTimes(curve.cum_lengths[:-1] / curve.total_length)
-    ref_shape = preshape(curve.vertices)
+    ref_points = curve.vertices
     if k == len(curve):
         times = ref_fracs
     else:
         times = select_stopping_times(k, rng)
     kgon = evaluate(curve, times)
     len_err = relative_length_error(curve.total_length, kgon)
+    if _signed_area(kgon.points) < 0:
+        # all stopping times fell on one concave arc, so the k-gon winds
+        # clockwise; mirroring both configurations keeps arclengths and
+        # chord distance but restores counterclockwise order
+        kgon = Contour(kgon.points.conj())
+        ref_points = ref_points.conj()
     kgon_at_ref = evaluate(ParamCurve.from_vertices(kgon), ref_fracs)
-    shape_sq = chord_distance(preshape(kgon_at_ref), ref_shape) ** 2
+    shape_sq = chord_distance(preshape(kgon_at_ref), preshape(ref_points)) ** 2
     return len_err, shape_sq
 
 
@@ -284,10 +290,7 @@ def cmd_test(config: RunConfig) -> None:
 
 def cmd_bootstrap(config: RunConfig) -> None:
     shapes, times = _load(config)
-    threads = int(os.environ.get("SHAPE_THREADS", "1"))
-    region = bootstrap_region(
-        shapes, B=config.B, alpha=config.alpha, seed=config.seed, threads=threads
-    )
+    region = bootstrap_region(shapes, B=config.B, alpha=config.alpha, seed=config.seed)
     out = Path(config.out)
     csv_path = out / "bootstrap_summary.csv"
     lines = [

@@ -36,6 +36,7 @@ import numpy as np
 from .contour import (
     Contour,
     StoppingTimes,
+    _signed_area,
     build_correspondence,
     canonicalize,
     evaluate,
@@ -99,6 +100,8 @@ def _read_csv(path: Path) -> Contour:
             x, y = float(parts[0]), float(parts[1])
         except ValueError as err:
             raise ParseError(path, lineno, f"bad coordinate in {raw!r}: {err}") from err
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(path, lineno, f"non-finite coordinate in {raw!r}")
         points.append(complex(x, y))
     if len(points) >= 2 and points[0] == points[-1]:
         points.pop()
@@ -145,14 +148,9 @@ def _read_mask(path: Path) -> Contour:
     pts = np.array([complex(c, height - 1 - r) for r, c in pixels])
     # traversal direction depends on the tracer; normalize to counterclockwise,
     # keeping the scan-order start pixel first
-    if _shoelace(pts) < 0:
+    if _signed_area(pts) < 0:
         pts = np.concatenate((pts[:1], pts[1:][::-1]))
     return _build_contour(pts, path)
-
-
-def _shoelace(points: np.ndarray) -> float:
-    nxt = np.roll(points, -1)
-    return float(0.5 * np.sum(np.imag(np.conj(points) * nxt)))
 
 
 def _read_pgm(path: Path) -> np.ndarray:

@@ -2,9 +2,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contourstat as cs
-from support import centered_basis, draw_tangent_gaussian, model_base, random_preshape
+import contourstat.bootstrap as bootstrap_module
+from contourstat.bootstrap import _substream
+from support import (
+    centered_basis,
+    draw_tangent_gaussian,
+    model_base,
+    random_preshape,
+    wobbly_contour,
+)
 
 
 def model_sample(n, seed, k=6, tau=0.15):
@@ -123,6 +133,92 @@ class TestBootstrapRegion:
             cs.bootstrap_region(sample[:1], B=60, alpha=0.05, seed=0)
         with pytest.raises(ValueError):
             cs.bootstrap_region(sample, B=60, alpha=0.0, seed=0)
+
+
+def dense_region(sample, B, seed):
+    """Resample means and distances of the k x k path, one resample_mean per index."""
+    mean, _ = cs.extrinsic_mean(sample)
+    boot = [cs.resample_mean(sample, _substream(seed, i)) for i in range(B)]
+    return boot, np.array([cs.chord_distance(b, mean) for b in boot])
+
+
+def assert_matches_dense(region, sample, seed, count=None):
+    boot, dist = dense_region(sample, count or len(region.boot_means), seed)
+    for span_mean, dense_mean in zip(region.boot_means, boot):
+        assert cs.chord_distance(span_mean, dense_mean) < 1e-12
+    assert np.max(np.abs(region.distances[: len(dist)] - dist)) < 1e-12
+
+
+class RecordingRng:
+    """Generator proxy that logs every index draw."""
+
+    def __init__(self, rng, log):
+        self.rng, self.log = rng, log
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.log.append(tuple(out))
+        return out
+
+
+class TestSpanPath:
+    """Resamples in the span of the sample agree with the k x k path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(2, 12),
+        k=st.integers(3, 30),
+        tau=st.floats(0.02, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+        identical=st.booleans(),
+    )
+    def test_matches_dense_path(self, n, k, tau, seed, identical):
+        if identical:
+            sample = [random_preshape(k, np.random.default_rng(seed))] * n
+        else:
+            sample = model_sample(n, seed=seed, k=k, tau=tau)
+        region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=seed)
+        assert_matches_dense(region, sample, seed)
+
+    def test_large_k(self):
+        sample = model_sample(8, seed=20, k=600)
+        region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=21)
+        assert_matches_dense(region, sample, seed=21, count=3)
+
+    def test_union_of_times_sample(self):
+        curves = [
+            cs.canonicalize(wobbly_contour(200, amp3=0.2 + 0.02 * i, phase=0.1 * i))
+            for i in range(5)
+        ]
+        times = cs.build_correspondence(curves, "union-of-times", 25, np.random.default_rng(22))
+        assert times.k > 100
+        sample = [cs.preshape(cs.evaluate(c, times)) for c in curves]
+        region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=23)
+        assert_matches_dense(region, sample, seed=23)
+
+    def test_focal_retries_draw_the_same_indices(self, monkeypatch):
+        # a resample drawing the orthogonal shape exactly twice is focal
+        base = random_preshape(8, np.random.default_rng(24))
+        sample = [base] * 3 + [cs.Preshape(centered_basis(base.coords)[:, 0])]
+        span_draws = {}
+
+        def recording_substream(seed, i):
+            return RecordingRng(_substream(seed, i), span_draws.setdefault(i, []))
+
+        monkeypatch.setattr(bootstrap_module, "_substream", recording_substream)
+        region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=25)
+        monkeypatch.undo()
+        for i, span_mean in enumerate(region.boot_means):
+            dense_draws = []
+            dense_mean = cs.resample_mean(sample, RecordingRng(_substream(25, i), dense_draws))
+            assert span_draws[i] == dense_draws
+            assert cs.chord_distance(span_mean, dense_mean) < 1e-12
+        assert max(len(draws) for draws in span_draws.values()) > 1
+
+    def test_threads_keyword_is_deprecated(self):
+        sample = model_sample(6, seed=26)
+        with pytest.warns(DeprecationWarning, match="threads"):
+            cs.bootstrap_region(sample, B=50, alpha=0.05, seed=0, threads=2)
 
 
 class TestAlignRotation:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import contourstat as cs
-from contourstat.cli import main
+from contourstat.cli import _approx_one, main
+from contourstat.contour import _signed_area
 from support import wobbly_points
 
 
@@ -158,6 +159,26 @@ class TestBootstrapCommand:
         last_path = svg.rstrip().splitlines()[-2]
         assert "#d62728" in last_path  # sample mean drawn last, on top
 
+    @pytest.mark.parametrize("value", ["abc", "4"])
+    def test_shape_threads_is_ignored(self, sample_dir, capsys, monkeypatch, value):
+        tmp_path, man = sample_dir
+        out = tmp_path / "boot"
+        argv = ["bootstrap", "--manifest", str(man), "--out", str(out), "--B", "60"]
+        monkeypatch.delenv("SHAPE_THREADS", raising=False)
+        runs = []
+        for env in (None, value):
+            if env is not None:
+                monkeypatch.setenv("SHAPE_THREADS", env)
+            assert main(argv) == 0
+            runs.append(
+                (
+                    capsys.readouterr().out,
+                    (out / "bootstrap_summary.csv").read_bytes(),
+                    (out / "bootstrap_region.svg").read_bytes(),
+                )
+            )
+        assert runs[0] == runs[1]
+
 
 class TestApproxCommand:
     def test_monotone_error_and_exact_zero_at_full_resolution(self, tmp_path, capsys):
@@ -205,6 +226,51 @@ class TestApproxCommand:
             _, _, sd_len, _, sd_shape = row.split(",")
             assert float(sd_len) == 0.0
             assert float(sd_shape) == 0.0
+
+
+def crescent_points():
+    outer = np.exp(1j * np.linspace(-0.9 * np.pi, 0.9 * np.pi, 100))
+    inner = 0.3 + 0.75 * np.exp(1j * np.linspace(0.8 * np.pi, -0.8 * np.pi, 100))
+    return np.concatenate((outer, inner))
+
+
+def arclength_resample(points, fracs):
+    """Closed polygon at arclength fractions, in its own vertex order (np.interp oracle)."""
+    closed = np.append(points, points[0])
+    cum = np.concatenate(([0.0], np.cumsum(np.abs(np.diff(closed)))))
+    s = np.asarray(fracs) * cum[-1]
+    return np.interp(s, cum, closed.real) + 1j * np.interp(s, cum, closed.imag)
+
+
+class TestApproxClockwiseKgon:
+    """k-gons whose stopping times all fall on a concave arc wind clockwise."""
+
+    def test_rows_match_arclength_oracle(self):
+        curve = cs.canonicalize(cs.Contour(crescent_points()))
+        ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+        clockwise = 0
+        for seed in range(20):
+            kgon = cs.evaluate(curve, cs.select_stopping_times(4, np.random.default_rng(seed)))
+            clockwise += _signed_area(kgon.points) < 0
+            expected = cs.chord_distance(
+                cs.preshape(arclength_resample(kgon.points, ref_fracs)),
+                cs.preshape(curve.vertices),
+            ) ** 2
+            _, shape_sq = _approx_one(curve, 4, np.random.default_rng(seed))
+            assert abs(shape_sq - expected) < 1e-12
+        assert clockwise >= 3
+
+    def test_approx_command_exits_zero(self, tmp_path):
+        f = tmp_path / "crescent.csv"
+        cs.write_contour(cs.Contour(crescent_points()), f)
+        man = tmp_path / "m.manifest"
+        man.write_text(f"seed 0\ncontour c {f.name}\n")
+        out = tmp_path / "rep"
+        argv = ["approx", "--manifest", str(man), "--out", str(out)]
+        assert main([*argv, "--k-grid", "4,8", "--repeats", "10"]) == 0
+        rows = (out / "approx_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 2
+        assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
 
 
 class TestPlotCommand:

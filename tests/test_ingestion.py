@@ -56,6 +56,13 @@ class TestReadCsv:
         with pytest.raises(cs.ParseError, match=r":2"):
             cs.read_contour(f)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_file_and_line(self, tmp_path, bad):
+        f = tmp_path / "c.csv"
+        f.write_text(f"1,0\n0,1\n-1,{bad}\n0,-1\n")
+        with pytest.raises(cs.ParseError, match=r"c\.csv:3: non-finite"):
+            cs.read_contour(f)
+
     def test_too_few_distinct_points(self, tmp_path):
         f = tmp_path / "c.csv"
         f.write_text("0,0\n1,1\n")
