@@ -25,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .contour import _freeze
 from .errors import FocalDistributionError
 from .shape_space import DEFAULT_GAP_TOL, Preshape, chord_distance, extrinsic_mean
 
@@ -64,12 +65,6 @@ class BootstrapRegion:
             raise ValueError("included mask does not match distance <= radius")
         object.__setattr__(self, "distances", _freeze(d))
         object.__setattr__(self, "included", _freeze(inc))
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 def _quantile_index(alpha: float, b: int) -> int:

@@ -228,7 +228,8 @@ def _approx_one(curve: ParamCurve, k: int, rng: np.random.Generator):
     if _signed_area(kgon.points) < 0:
         # all stopping times fell on one concave arc, so the k-gon winds
         # clockwise; mirroring both configurations keeps arclengths and
-        # chord distance but restores counterclockwise order
+        # chord distance but restores counterclockwise order; a k-gon of
+        # zero area (all times on one straight run) is parameterized as is
         kgon = Contour(kgon.points.conj())
         ref_points = ref_points.conj()
     kgon_at_ref = evaluate(ParamCurve.from_vertices(kgon), ref_fracs)

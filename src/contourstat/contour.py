@@ -81,8 +81,7 @@ class Contour:
     """Closed polygonal contour: ordered vertices, last joined implicitly to first.
 
     Requires at least 3 distinct vertices and no two equal consecutive
-    vertices (the closing pair included).  Simplicity is *not* enforced at
-    construction; call :meth:`is_simple` when needed.
+    vertices (the closing pair included).  Simplicity is *not* enforced.
     """
 
     points: np.ndarray
@@ -100,51 +99,6 @@ class Contour:
     def __len__(self) -> int:
         return len(self.points)
 
-    def is_simple(self) -> bool:
-        """O(m^2) check that no two non-adjacent edges intersect."""
-        pts = self.points
-        m = len(pts)
-        for i in range(m):
-            a0, a1 = pts[i], pts[(i + 1) % m]
-            for j in range(i + 1, m):
-                if j == i + 1 or (i == 0 and j == m - 1):
-                    continue
-                if _segments_intersect(a0, a1, pts[j], pts[(j + 1) % m]):
-                    return False
-        return True
-
-
-def _cross(o: complex, a: complex, b: complex) -> float:
-    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
-
-
-def _segments_intersect(p0, p1, q0, q1) -> bool:
-    d1 = _cross(q0, q1, p0)
-    d2 = _cross(q0, q1, p1)
-    d3 = _cross(p0, p1, q0)
-    d4 = _cross(p0, p1, q1)
-    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    ):
-        return True
-    # collinear touches count as intersections
-    for d, (s0, s1, p) in (
-        (d1, (q0, q1, p0)),
-        (d2, (q0, q1, p1)),
-        (d3, (p0, p1, q0)),
-        (d4, (p0, p1, q1)),
-    ):
-        if d == 0 and _on_segment(s0, s1, p):
-            return True
-    return False
-
-
-def _on_segment(s0, s1, p) -> bool:
-    return (
-        min(s0.real, s1.real) <= p.real <= max(s0.real, s1.real)
-        and min(s0.imag, s1.imag) <= p.imag <= max(s0.imag, s1.imag)
-    )
-
 
 @dataclass(frozen=True, eq=False)
 class ParamCurve:
@@ -153,7 +107,9 @@ class ParamCurve:
     ``cum_lengths`` holds the arclength at every vertex plus one final entry
     for the return to vertex 0, so ``cum_lengths[0] == 0`` and
     ``cum_lengths[-1] == total_length``.  Vertex order is counterclockwise
-    and vertex 0 is the designated start point of the parameterization.
+    and vertex 0 is the designated start point of the parameterization.  A
+    polygon of zero signed area (collinear vertices) has no orientation and
+    is accepted; arclength is well defined on it.
     """
 
     vertices: np.ndarray
@@ -171,7 +127,7 @@ class ParamCurve:
             raise ValueError("cum_lengths must be strictly increasing")
         if cum[-1] != self.total_length:
             raise ValueError("last cum_length must equal total_length")
-        if _signed_area(verts) <= 0:
+        if _signed_area(verts) < 0:
             raise ValueError("curve must be oriented counterclockwise")
         object.__setattr__(self, "vertices", _freeze(verts))
         object.__setattr__(self, "cum_lengths", _freeze(cum))

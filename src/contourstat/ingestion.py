@@ -1,6 +1,7 @@
 """Contour file I/O, binary-mask boundary extraction, and sample manifests.
 
-Two input formats are supported, both bit-exact and dependency-free:
+Two input formats are supported, both read bit-exactly with numpy (and
+``scipy.ndimage`` for the connected components of a mask):
 
 * CSV contours: one ``x,y`` decimal pair per line, vertices in order, closure
   implicit (a duplicated closing point is dropped).  The decimal separator is
@@ -28,6 +29,7 @@ Paths are resolved relative to the manifest file.  ``correspondence`` is
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -207,18 +209,48 @@ def _read_pgm(path: Path) -> np.ndarray:
                 path, None, f"P5 raster truncated: have {len(raster)} bytes, need {need}"
             )
         dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
-        values = np.frombuffer(raster, dtype=dtype).astype(np.uint16)
+        values = np.frombuffer(raster, dtype=dtype)
+        if np.any(values > maxval):
+            raise ParseError(path, None, f"PGM sample exceeds maxval {maxval}")
     else:
-        values = np.empty(width * height, dtype=np.uint16)
-        for i in range(width * height):
-            tok = next_token()
-            try:
-                values[i] = int(tok)
-            except ValueError as err:
-                raise ParseError(path, line_at(pos), f"bad P2 sample: {tok!r}") from err
-    if np.any(values > maxval):
-        raise ParseError(path, None, f"PGM sample exceeds maxval {maxval}")
+        values = _p2_samples(data[pos:], width * height, maxval, path, line_at(pos))
     return values.reshape(height, width) != 0
+
+
+# a '#' that starts a token runs to the end of its line; newlines stay, so
+# line numbers in the stripped raster are those of the file
+_P2_COMMENT = re.compile(rb"(?<!\S)#[^\n]*")
+
+
+def _p2_samples(
+    raster: bytes, need: int, maxval: int, path: Path, first_line: int
+) -> np.ndarray:
+    """The first ``need`` samples of a P2 raster, each checked to lie in 0..maxval."""
+    text = _P2_COMMENT.sub(b"", raster) if b"#" in raster else raster
+    tokens = text.split()[:need]
+    if len(tokens) < need:
+        raise ParseError(
+            path, None, f"P2 raster truncated: have {len(tokens)} samples, need {need}"
+        )
+    try:
+        values = np.array(tokens, dtype=np.int64)
+        if values.min() >= 0 and values.max() <= maxval:
+            return values
+    except (ValueError, OverflowError):
+        pass
+    # error path only: name the first bad token and its line
+    for tok, match in zip(tokens, re.finditer(rb"\S+", text)):
+        try:
+            value = int(tok)
+        except ValueError:
+            problem = f"bad P2 sample: {tok!r}"
+        else:
+            if 0 <= value <= maxval:
+                continue
+            problem = f"P2 sample {value} outside 0..{maxval}"
+        line = first_line + text.count(b"\n", 0, match.start())
+        raise ParseError(path, line, problem)
+    raise AssertionError("unreachable: some P2 sample failed the vectorized check")
 
 
 def _require_single_component(mask: np.ndarray, path: Path) -> None:
@@ -230,24 +262,11 @@ def _require_single_component(mask: np.ndarray, path: Path) -> None:
 
 
 def _count_components(mask: np.ndarray) -> int:
-    seen = np.zeros_like(mask, dtype=bool)
-    rows, cols = mask.shape
-    count = 0
-    for r0, c0 in zip(*np.nonzero(mask)):
-        if seen[r0, c0]:
-            continue
-        count += 1
-        stack = [(int(r0), int(c0))]
-        seen[r0, c0] = True
-        while stack:
-            r, c = stack.pop()
-            for dr in (-1, 0, 1):
-                for dc in (-1, 0, 1):
-                    rr, cc = r + dr, c + dc
-                    if 0 <= rr < rows and 0 <= cc < cols and mask[rr, cc] and not seen[rr, cc]:
-                        seen[rr, cc] = True
-                        stack.append((rr, cc))
-    return count
+    """Number of 8-connected foreground components."""
+    # imported here (~70 ms) so that runs reading only CSV contours never load it
+    from scipy import ndimage
+
+    return int(ndimage.label(mask, np.ones((3, 3)))[1])
 
 
 # Moore neighborhood in clockwise screen order (rows grow downward), from west

@@ -22,7 +22,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import Contour
+from .contour import Contour, _freeze
 from .errors import DegenerateContourError, FocalDistributionError
 
 __all__ = [
@@ -47,12 +47,6 @@ __all__ = [
 # Relative spectral gaps below this are treated as focal: the mean direction
 # would be dominated by eigensolver noise.
 DEFAULT_GAP_TOL = 1e-8
-
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
 
 
 @dataclass(frozen=True, eq=False)

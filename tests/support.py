@@ -132,3 +132,75 @@ def fused_studentized_variance(gammas, m0_coords):
                 )
             total += np.conj(nu[a - 1]) * (acc / (n * ga * gb)) * nu[b - 1]
     return 4.0 * total.real
+
+
+# ---------------------------------------------------------------------------
+# geometry and mask oracles
+
+
+def is_simple(contour):
+    """O(m^2) check that no two non-adjacent edges of the closed polygon intersect."""
+    pts = contour.points
+    m = len(pts)
+    for i in range(m):
+        a0, a1 = pts[i], pts[(i + 1) % m]
+        for j in range(i + 1, m):
+            if j == i + 1 or (i == 0 and j == m - 1):
+                continue
+            if _segments_intersect(a0, a1, pts[j], pts[(j + 1) % m]):
+                return False
+    return True
+
+
+def _cross(o, a, b):
+    return (a.real - o.real) * (b.imag - o.imag) - (a.imag - o.imag) * (b.real - o.real)
+
+
+def _segments_intersect(p0, p1, q0, q1):
+    d1 = _cross(q0, q1, p0)
+    d2 = _cross(q0, q1, p1)
+    d3 = _cross(p0, p1, q0)
+    d4 = _cross(p0, p1, q1)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    # collinear touches count as intersections
+    for d, (s0, s1, p) in (
+        (d1, (q0, q1, p0)),
+        (d2, (q0, q1, p1)),
+        (d3, (p0, p1, q0)),
+        (d4, (p0, p1, q1)),
+    ):
+        if d == 0 and _on_segment(s0, s1, p):
+            return True
+    return False
+
+
+def _on_segment(s0, s1, p):
+    return (
+        min(s0.real, s1.real) <= p.real <= max(s0.real, s1.real)
+        and min(s0.imag, s1.imag) <= p.imag <= max(s0.imag, s1.imag)
+    )
+
+
+def flood_fill_components(mask):
+    """Number of 8-connected foreground components, by an explicit-stack flood fill."""
+    seen = np.zeros_like(mask, dtype=bool)
+    rows, cols = mask.shape
+    count = 0
+    for r0, c0 in zip(*np.nonzero(mask)):
+        if seen[r0, c0]:
+            continue
+        count += 1
+        stack = [(int(r0), int(c0))]
+        seen[r0, c0] = True
+        while stack:
+            r, c = stack.pop()
+            for dr in (-1, 0, 1):
+                for dc in (-1, 0, 1):
+                    rr, cc = r + dr, c + dc
+                    if 0 <= rr < rows and 0 <= cc < cols and mask[rr, cc] and not seen[rr, cc]:
+                        seen[rr, cc] = True
+                        stack.append((rr, cc))
+    return count

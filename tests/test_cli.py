@@ -273,6 +273,43 @@ class TestApproxClockwiseKgon:
         assert all(np.isfinite([float(x) for x in r.split(",")]).all() for r in rows)
 
 
+class TestApproxZeroAreaKgon:
+    """A k-gon whose stopping times all fall on one straight edge has zero area."""
+
+    def write_sample(self, tmp_path):
+        square = np.array([0, 1, 1 + 1j, 1j])
+        rect = np.array([0, 2, 2 + 1j, 1j])
+        for name, pts in (("sq", square), ("rect", rect)):
+            cs.write_contour(cs.Contour(pts), tmp_path / f"{name}.csv")
+        man = tmp_path / "m.manifest"
+        man.write_text("seed 3\nk 3\ncontour sq sq.csv\ncontour rect rect.csv\n")
+        return man
+
+    def test_approx_command_exits_zero(self, tmp_path, capsys):
+        man = self.write_sample(tmp_path)
+        out = tmp_path / "rep"
+        argv = ["approx", "--manifest", str(man), "--out", str(out)]
+        assert main([*argv, "--k-grid", "3", "--repeats", "50"]) == 0
+        rows = (out / "approx_report.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        assert np.isfinite([float(x) for x in rows[0].split(",")]).all()
+
+    def test_rows_match_arclength_oracle(self):
+        curve = cs.canonicalize(cs.Contour(np.array([0, 1, 1 + 1j, 1j])))
+        ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+        flat = 0
+        for seed in range(40):
+            kgon = cs.evaluate(curve, cs.select_stopping_times(3, np.random.default_rng(seed)))
+            flat += _signed_area(kgon.points) == 0
+            expected = cs.chord_distance(
+                cs.preshape(arclength_resample(kgon.points, ref_fracs)),
+                cs.preshape(curve.vertices),
+            ) ** 2
+            _, shape_sq = _approx_one(curve, 3, np.random.default_rng(seed))
+            assert abs(shape_sq - expected) < 1e-12
+        assert flat >= 3
+
+
 class TestPlotCommand:
     def test_plot_writes_one_path_per_contour(self, sample_dir):
         tmp_path, man = sample_dir

@@ -2,9 +2,14 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import contourstat as cs
-from support import wobbly_points
+from contourstat.cli import main
+from contourstat.ingestion import _count_components, _read_pgm
+from support import flood_fill_components, wobbly_points
 
 
 def write_pgm_p5(path, values, maxval=255):
@@ -166,6 +171,87 @@ class TestReadMask:
             pts = cs.read_contour(f).points
             assert len(np.unique(pts)) == len(pts)  # no repeated pixel
             assert pts[0] != pts[-1]  # closure implicit, not duplicated
+
+
+class TestReadP2:
+    def test_comment_inside_raster(self, tmp_path):
+        mask = blob_mask(5).astype(np.uint8) * 255
+        rows = [" ".join(str(int(v)) for v in row) for row in mask]
+        rows.insert(10, "# a comment between rows 9 and 10")
+        rows[20] += "  # a comment after row 19"
+        f2 = tmp_path / "c.pgm"
+        f2.write_text(f"P2\n{mask.shape[1]} {mask.shape[0]}\n255\n" + "\n".join(rows) + "\n")
+        f5 = tmp_path / "twin.pgm"
+        write_pgm_p5(f5, mask)
+        assert np.array_equal(cs.read_contour(f2).points, cs.read_contour(f5).points)
+
+    def test_bad_token_names_token_and_line(self, tmp_path):
+        f = tmp_path / "m.pgm"
+        f.write_text("P2\n3 3\n255\n0 0 0\n# comment\n0 x7 0\n0 0 0\n")
+        with pytest.raises(cs.ParseError, match=r"m\.pgm:6: bad P2 sample: b'x7'"):
+            cs.read_contour(f)
+
+    def test_truncated_raster_names_counts(self, tmp_path):
+        f = tmp_path / "m.pgm"
+        f.write_text("P2\n3 3\n255\n0 0 0\n0 255\n")
+        with pytest.raises(cs.ParseError, match="P2 raster truncated: have 5 samples, need 9"):
+            cs.read_contour(f)
+
+    @pytest.mark.parametrize("sample", ["-1", "256", "70000", "99999999999999999999999"])
+    def test_out_of_range_sample_names_value_and_line(self, tmp_path, sample):
+        f = tmp_path / "m.pgm"
+        f.write_text(f"P2\n3 3\n255\n0 0 0\n0 {sample} 0\n0 0 0\n")
+        with pytest.raises(cs.ParseError, match=rf"m\.pgm:5: P2 sample {sample} outside 0\.\.255"):
+            cs.read_contour(f)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8))),
+        st.lists(st.sampled_from([" ", "\t", "\n", "  ", "\n# note\n", " #x\n"]), min_size=64),
+    )
+    def test_p2_reads_as_its_p5_twin(self, tmp_path_factory, values, separators):
+        d = tmp_path_factory.mktemp("p2")
+        write_pgm_p5(d / "twin.pgm", values)
+        tokens = [str(v) for v in values.ravel()]
+        raster = "".join(t + separators[i % len(separators)] for i, t in enumerate(tokens))
+        h, w = values.shape
+        (d / "m.pgm").write_text(f"P2\n{w} {h}\n255\n{raster}")
+        assert np.array_equal(_read_pgm(d / "m.pgm"), _read_pgm(d / "twin.pgm"))
+
+    @pytest.mark.parametrize("sample", ["-1", "70000"])
+    def test_out_of_range_sample_exits_two(self, tmp_path, capsys, sample):
+        f = tmp_path / "m.pgm"
+        f.write_text(f"P2\n3 3\n255\n0 0 0\n0 {sample} 0\n0 0 0\n")
+        man = tmp_path / "s.manifest"
+        man.write_text("contour m m.pgm\n")
+        assert main(["plot", "--manifest", str(man), "--out", str(tmp_path / "out")]) == 2
+        assert "m.pgm:5: P2 sample" in capsys.readouterr().err
+
+
+class TestMaskComponents:
+    def test_16_bit_p5_matches_8_bit_twin(self, tmp_path):
+        mask = blob_mask(8)
+        rng = np.random.default_rng(8)
+        wide = np.where(mask, rng.integers(1, 65536, mask.shape), 0).astype(">u2")
+        f16 = tmp_path / "wide.pgm"
+        f16.write_bytes(f"P5\n{mask.shape[1]} {mask.shape[0]}\n65535\n".encode() + wide.tobytes())
+        f8 = tmp_path / "narrow.pgm"
+        write_pgm_p5(f8, mask.astype(np.uint8) * 255)
+        assert np.array_equal(cs.read_contour(f16).points, cs.read_contour(f8).points)
+
+    def test_blobs_touching_at_a_corner_are_one_component(self, tmp_path):
+        mask = np.zeros((12, 12), dtype=np.uint8)
+        mask[2:6, 2:6] = 1
+        mask[6:10, 6:10] = 1
+        assert _count_components(mask.astype(bool)) == 1
+        f = tmp_path / "m.pgm"
+        write_pgm_p5(f, mask)
+        assert len(cs.read_contour(f)) >= 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    def test_label_count_matches_flood_fill(self, mask):
+        assert _count_components(mask) == flood_fill_components(mask)
 
 
 class TestManifest:
