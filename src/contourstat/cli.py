@@ -17,7 +17,6 @@ on stderr; a completed test exits 0 whatever its decision.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -29,24 +28,30 @@ from .contour import (
     Contour,
     ParamCurve,
     StoppingTimes,
+    _cum_lengths,
+    _interpolate,
+    _require_polygons,
     _signed_area,
     canonicalize,
     evaluate,
-    relative_length_error,
     select_stopping_times,
 )
-from .errors import ContourStatError
-from .inference import (
-    TestConfig,
+from .errors import ContourStatError, DegenerateContourError
+from .inference import TestConfig, _radius_at_level, _studentized_core, neighborhood_test
+from .ingestion import SampleManifest, load_sample, parse_manifest, read_contour, write_contour
+from .shape_space import DEFAULT_GAP_TOL, _chord, _preshape_rows, extrinsic_mean, preshape
+from .svg import PathStyle, svg_render
+
+# Not called here, but kept importable from this module: the benchmark's
+# tracer (bench/tracing.py) wraps these names on it.
+from .contour import relative_length_error  # noqa: F401
+from .inference import (  # noqa: F401
     critical_radius,
-    neighborhood_test,
     squared_shape_distance,
     studentizing_variance,
     tangent_offset,
 )
-from .ingestion import SampleManifest, load_sample, parse_manifest, read_contour, write_contour
-from .shape_space import chord_distance, extrinsic_covariance, extrinsic_mean, preshape
-from .svg import PathStyle, svg_render
+from .shape_space import chord_distance, extrinsic_covariance  # noqa: F401
 
 __all__ = ["RunConfig", "main"]
 
@@ -60,10 +65,8 @@ class RunConfig:
     """Resolved run parameters for one CLI invocation."""
 
     command: str
-    manifest: str
+    manifest: SampleManifest  # with the --seed/--k overrides applied
     out: str
-    seed: int
-    k: int
     B: int = 400
     alpha: float = 0.05
     delta: float | None = None
@@ -139,38 +142,47 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    manifest = parse_manifest(args.manifest)
-    seed = manifest.seed if args.seed is None else args.seed
-    k = manifest.k if args.k is None else args.k
     if args.command == "test" and args.delta is None and not args.solve_delta:
         raise ContourStatError("test needs --delta unless --solve-delta is given")
     if args.command == "test" and args.delta is not None and not args.delta > 0:
         raise ContourStatError("--delta must be positive")
+    alpha = getattr(args, "alpha", 0.05)
+    if not 0.0 < alpha < 1.0:
+        raise ContourStatError(f"--alpha must lie in (0, 1), got {alpha:g}")
+    B = getattr(args, "B", 400)
+    if B < 50:
+        raise ContourStatError(f"--B must be at least 50 resamples, got {B}")
+    repeats = getattr(args, "repeats", 50)
+    if repeats < 1:
+        raise ContourStatError(f"--repeats must be at least 1, got {repeats}")
+    k_grid = _parse_k_grid(args.k_grid) if args.command == "approx" else ()
+    manifest = parse_manifest(args.manifest)
     return RunConfig(
         command=args.command,
-        manifest=args.manifest,
+        manifest=replace(
+            manifest,
+            seed=manifest.seed if args.seed is None else args.seed,
+            k=manifest.k if args.k is None else args.k,
+        ),
         out=args.out,
-        seed=seed,
-        k=k,
-        B=getattr(args, "B", 400),
-        alpha=getattr(args, "alpha", 0.05),
+        B=B,
+        alpha=alpha,
         delta=getattr(args, "delta", None),
         solve_delta=getattr(args, "solve_delta", False),
         m0=getattr(args, "m0", None),
-        k_grid=tuple(
-            int(s) for s in getattr(args, "k_grid", "").split(",") if s.strip()
-        ),
-        repeats=getattr(args, "repeats", 50),
+        k_grid=k_grid,
+        repeats=repeats,
     )
 
 
-def _configured_manifest(config: RunConfig) -> SampleManifest:
-    """Manifest with any --seed/--k overrides applied."""
-    return replace(parse_manifest(config.manifest), seed=config.seed, k=config.k)
-
-
-def _load(config: RunConfig):
-    return load_sample(_configured_manifest(config))
+def _parse_k_grid(text: str) -> tuple[int, ...]:
+    try:
+        k_grid = tuple(int(token) for token in text.split(",") if token.strip())
+    except ValueError:
+        raise ContourStatError(f"--k-grid must list integers, got {text!r}") from None
+    if not k_grid or min(k_grid) < 3:
+        raise ContourStatError(f"--k-grid must list one or more k >= 3, got {text!r}")
+    return k_grid
 
 
 def cmd_approx(config: RunConfig) -> None:
@@ -179,22 +191,26 @@ def cmd_approx(config: RunConfig) -> None:
     For each contour, k, and repeat, a fresh set of stopping times is drawn
     from a substream keyed by (seed, k-index, repeat).  When k equals the
     contour's own vertex count the contour's vertex fractions are used (the
-    k-gon is the contour itself), so the error row is exactly zero.
+    k-gon is the contour itself), so the error row is exactly zero.  The
+    repeats of one contour and k are then evaluated together.
     """
-    manifest = _configured_manifest(config)
+    manifest = config.manifest
     curves = [canonicalize(read_contour(path)) for _, path in manifest.entries]
     rows = []
     for ki, k in enumerate(config.k_grid):
-        len_errs = []
-        shape_sqs = []
+        times = [[] for _ in curves]
         for rep in range(config.repeats):
             rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=config.seed, spawn_key=(ki, rep))
+                np.random.SeedSequence(entropy=manifest.seed, spawn_key=(ki, rep))
             )
-            for curve in curves:
-                len_err, shape_sq = _approx_one(curve, k, rng)
-                len_errs.append(len_err)
-                shape_sqs.append(shape_sq)
+            for curve_times, curve in zip(times, curves):
+                if k == len(curve):
+                    curve_times.append(curve.cum_lengths[:-1] / curve.total_length)
+                else:
+                    curve_times.append(select_stopping_times(k, rng).times)
+        errs = np.array([_approx_rows(c, np.array(t)) for c, t in zip(curves, times)])
+        # (contour, kind, repeat) -> per kind in draw order: repeat-major, contour-minor
+        len_errs, shape_sqs = errs.transpose(1, 2, 0).reshape(2, -1)
         rows.append(
             (
                 k,
@@ -216,29 +232,38 @@ def cmd_approx(config: RunConfig) -> None:
     print(f"wrote {out}")
 
 
-def _approx_one(curve: ParamCurve, k: int, rng: np.random.Generator):
-    ref_fracs = StoppingTimes(curve.cum_lengths[:-1] / curve.total_length)
-    ref_points = curve.vertices
-    if k == len(curve):
-        times = ref_fracs
-    else:
-        times = select_stopping_times(k, rng)
-    kgon = evaluate(curve, times)
-    len_err = relative_length_error(curve.total_length, kgon)
-    if _signed_area(kgon.points) < 0:
-        # all stopping times fell on one concave arc, so the k-gon winds
-        # clockwise; mirroring both configurations keeps arclengths and
-        # chord distance but restores counterclockwise order; a k-gon of
-        # zero area (all times on one straight run) is parameterized as is
-        kgon = Contour(kgon.points.conj())
-        ref_points = ref_points.conj()
-    kgon_at_ref = evaluate(ParamCurve.from_vertices(kgon), ref_fracs)
-    shape_sq = chord_distance(preshape(kgon_at_ref), preshape(ref_points)) ** 2
-    return len_err, shape_sq
+def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative length error and squared shape distance of the k-gon at each row of times.
+
+    Each k-gon is parameterized by its own arclength and evaluated at the
+    contour's vertex fractions; the shape error is the squared chord distance
+    from that configuration to the contour's vertices.  A k-gon that winds
+    clockwise (all stopping times on one concave arc) is mirrored together
+    with its reference, which keeps arclengths and chord distance but
+    restores counterclockwise order; a k-gon of zero area (all times on one
+    straight run) is parameterized as it is.
+    """
+    kgons = _interpolate(curve.cum_lengths[None], curve.vertices[None], times)
+    _require_polygons(kgons)
+    cum = _cum_lengths(kgons)  # mirroring keeps every edge length
+    if np.any(np.diff(cum, axis=1) <= 0):
+        raise DegenerateContourError("k-gon arclength is not strictly increasing")
+    len_errs = (curve.total_length - cum[:, -1]) / curve.total_length
+    clockwise = _signed_area(kgons) < 0
+    kgons[clockwise] = kgons[clockwise].conj()
+    ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+    kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
+    _require_polygons(kgons_at_ref)
+    ref, mirrored_ref = _preshape_rows(np.stack((curve.vertices, curve.vertices.conj())))
+    shape_sqs = [
+        _chord(g, mirrored_ref if cw else ref) ** 2
+        for g, cw in zip(_preshape_rows(kgons_at_ref), clockwise)
+    ]
+    return len_errs, np.array(shape_sqs)
 
 
 def cmd_mean(config: RunConfig) -> None:
-    shapes, times = _load(config)
+    shapes, times = load_sample(config.manifest)
     mean, eigen = extrinsic_mean(shapes)
     out = Path(config.out)
     write_contour(Contour(mean.coords), out / "mean_shape.csv")
@@ -265,7 +290,7 @@ def _hypothesis_shape(config: RunConfig, times: StoppingTimes):
 
 
 def cmd_test(config: RunConfig) -> None:
-    shapes, times = _load(config)
+    shapes, times = load_sample(config.manifest)
     m0 = _hypothesis_shape(config, times)
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
@@ -279,19 +304,18 @@ def cmd_test(config: RunConfig) -> None:
         print(f"critical_delta  {result.critical_radius:.10g}")
         print(f"decision        {'reject' if result.reject else 'fail-to-reject'}")
     else:
-        mean, eigen = extrinsic_mean(shapes)
-        cov = extrinsic_covariance(shapes, eigen)
-        s = math.sqrt(studentizing_variance(tangent_offset(eigen, m0), cov))
-        crit = critical_radius(shapes, m0, config.alpha)
-        print(f"phi             {squared_shape_distance(mean, m0):.10g}")
+        phi, s, n = _studentized_core(shapes, m0, DEFAULT_GAP_TOL)
+        print(f"phi             {phi:.10g}")
         print(f"s_n             {s:.10g}")
-        print(f"critical_delta  {crit:.10g}")
+        print(f"critical_delta  {_radius_at_level(phi, s, n, config.alpha):.10g}")
         print("decision        (no --delta given; reject exactly when delta < critical_delta)")
 
 
 def cmd_bootstrap(config: RunConfig) -> None:
-    shapes, times = _load(config)
-    region = bootstrap_region(shapes, B=config.B, alpha=config.alpha, seed=config.seed)
+    shapes, times = load_sample(config.manifest)
+    region = bootstrap_region(
+        shapes, B=config.B, alpha=config.alpha, seed=config.manifest.seed
+    )
     out = Path(config.out)
     csv_path = out / "bootstrap_summary.csv"
     lines = [
@@ -316,7 +340,7 @@ def cmd_bootstrap(config: RunConfig) -> None:
 
 
 def cmd_plot(config: RunConfig) -> None:
-    shapes, times = _load(config)
+    shapes, times = load_sample(config.manifest)
     out = Path(config.out) / "contours.svg"
     svg_render([(s, PLAIN_STYLE) for s in shapes], out)
     print(f"n  {len(shapes)}")

@@ -48,19 +48,30 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _closed_edges(points: np.ndarray) -> np.ndarray:
-    """Edge vectors of the closed polygon, closing edge included."""
-    return np.roll(points, -1) - points
+    """Edge vectors of the closed polygon (one per row), closing edge included."""
+    return np.roll(points, -1, axis=-1) - points
 
 
-def _closed_length(points: np.ndarray) -> float:
-    # sequential reduction, bitwise-consistent with ParamCurve.cum_lengths
-    return float(np.cumsum(np.abs(_closed_edges(points)))[-1])
+def _cum_lengths(points: np.ndarray) -> np.ndarray:
+    """Arclength at every vertex plus the closure, 0 first, for each row of points."""
+    zero = np.zeros(points.shape[:-1] + (1,))
+    return np.concatenate((zero, np.cumsum(np.abs(_closed_edges(points)), axis=-1)), axis=-1)
 
 
-def _signed_area(points: np.ndarray) -> float:
-    """Shoelace area; positive for counterclockwise vertex order."""
-    nxt = np.roll(points, -1)
-    return float(0.5 * np.sum(np.imag(np.conj(points) * nxt)))
+def _signed_area(points: np.ndarray):
+    """Shoelace area (one per row); positive for counterclockwise vertex order."""
+    nxt = np.roll(points, -1, axis=-1)
+    return 0.5 * np.sum(np.imag(np.conj(points) * nxt), axis=-1)
+
+
+def _require_polygons(points: np.ndarray) -> None:
+    """Reject closed polygons (one per row) with equal consecutive or < 3 distinct vertices."""
+    if np.any(_closed_edges(points) == 0):
+        raise DegenerateContourError("contour has two equal consecutive points")
+    # with no two neighbours equal, fewer than 3 distinct points means the
+    # vertices alternate between two
+    if np.any(np.all(points == np.roll(points, 2, axis=-1), axis=-1)):
+        raise DegenerateContourError("contour has fewer than 3 distinct points")
 
 
 def _arc_centroid(points: np.ndarray) -> complex:
@@ -90,10 +101,7 @@ class Contour:
         pts = _as_complex_vector(self.points)
         if len(pts) < 3:
             raise DegenerateContourError(f"contour needs >= 3 points, got {len(pts)}")
-        if np.any(_closed_edges(pts) == 0):
-            raise DegenerateContourError("contour has two equal consecutive points")
-        if len(np.unique(pts)) < 3:
-            raise DegenerateContourError("contour has fewer than 3 distinct points")
+        _require_polygons(pts)
         object.__setattr__(self, "points", _freeze(pts))
 
     def __len__(self) -> int:
@@ -137,8 +145,7 @@ class ParamCurve:
     def from_vertices(cls, points) -> "ParamCurve":
         """Parameterize an already counterclockwise polygon, keeping vertex 0 as start."""
         pts = points.points if isinstance(points, Contour) else _as_complex_vector(points)
-        edges = np.abs(_closed_edges(pts))
-        cum = np.concatenate(([0.0], np.cumsum(edges)))
+        cum = _cum_lengths(pts)
         return cls(pts, cum, float(cum[-1]))
 
     def __len__(self) -> int:
@@ -234,19 +241,30 @@ def evaluate(curve: ParamCurve, times: StoppingTimes) -> Contour:
     that coincide with a vertex's own fraction return that vertex exactly, so
     evaluating at the vertex fractions reproduces the vertices bit for bit.
     """
-    s = times.times
-    fracs = curve.cum_lengths / curve.total_length  # fracs[0] = 0, fracs[-1] = 1
-    verts = curve.vertices
-    closed = np.concatenate((verts, verts[:1]))
-    idx = np.searchsorted(fracs, s, side="left")
-    out = np.empty(len(s), dtype=np.complex128)
-    exact = fracs[idx] == s
-    out[exact] = closed[idx[exact]]
-    seg = ~exact
-    j = idx[seg]  # s strictly inside (fracs[j-1], fracs[j])
-    w = (s[seg] - fracs[j - 1]) / (fracs[j] - fracs[j - 1])
-    out[seg] = closed[j - 1] + w * (closed[j] - closed[j - 1])
-    return Contour(out)
+    return Contour(_interpolate(curve.cum_lengths[None], curve.vertices[None], times.times[None])[0])
+
+
+def _interpolate(cum: np.ndarray, vertices: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Points of closed polygons at arclength fractions: the kernel of :func:`evaluate`.
+
+    Each row of ``vertices`` is a polygon and the same row of ``cum`` its
+    strictly increasing arclengths (:func:`_cum_lengths`); each row of ``s``
+    holds fractions in [0, 1) for that polygon.  Either side may have a
+    single row, which is then shared by every row of the other.
+    """
+    rows = max(len(cum), len(s))
+    fracs = np.broadcast_to(cum / cum[:, -1:], (rows, cum.shape[1]))  # 0 first, 1 last
+    closed = np.broadcast_to(np.concatenate((vertices, vertices[:, :1]), axis=1), fracs.shape)
+    s = np.broadcast_to(s, (rows, s.shape[1]))
+    idx = np.array([np.searchsorted(f, t, side="left") for f, t in zip(fracs, s)])
+    out = np.empty(s.shape, dtype=np.complex128)
+    exact = np.take_along_axis(fracs, idx, axis=1) == s
+    out[exact] = np.take_along_axis(closed, idx, axis=1)[exact]
+    r, c = np.nonzero(~exact)
+    j = idx[r, c]  # s strictly inside (fracs[r, j-1], fracs[r, j])
+    w = (s[r, c] - fracs[r, j - 1]) / (fracs[r, j] - fracs[r, j - 1])
+    out[r, c] = closed[r, j - 1] + w * (closed[r, j] - closed[r, j - 1])
+    return out
 
 
 def max_edge_length(kgon: Contour) -> float:
@@ -258,7 +276,7 @@ def relative_length_error(reference_length: float, kgon: Contour) -> float:
     """(L_ref - L_kgon) / L_ref, the relative length deficit of the approximation."""
     if not reference_length > 0.0:
         raise ValueError("reference length must be positive")
-    return (reference_length - _closed_length(kgon.points)) / reference_length
+    return (reference_length - float(_cum_lengths(kgon.points)[-1])) / reference_length
 
 
 def union_of_times(times_list: Sequence[StoppingTimes]) -> StoppingTimes:

@@ -151,14 +151,13 @@ def neighborhood_test(
     xi = float(ndtri(1.0 - config.alpha))
     t = math.sqrt(n) * (phi - config.radius**2) / s
     p = float(ndtr(-t))
-    crit_sq = max(0.0, phi - xi * s / math.sqrt(n))
     return TestResult(
         squared_distance=phi,
         std_error=s,
         statistic=t,
         p_value=p,
         reject=t > xi,
-        critical_radius=math.sqrt(crit_sq),
+        critical_radius=_radius_at_level(phi, s, n, config.alpha),
     )
 
 
@@ -178,5 +177,10 @@ def critical_radius(
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     phi, s, n = _studentized_core(sample, m0, gap_tol)
+    return _radius_at_level(phi, s, n, alpha)
+
+
+def _radius_at_level(phi: float, s: float, n: int, alpha: float) -> float:
+    """sqrt(max(0, phi - xi_{1-alpha} s_n / sqrt(n))): the radius where T_n = xi_{1-alpha}."""
     xi = float(ndtri(1.0 - alpha))
     return math.sqrt(max(0.0, phi - xi * s / math.sqrt(n)))

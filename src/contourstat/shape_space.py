@@ -163,12 +163,18 @@ def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
     pts = points.points if isinstance(points, Contour) else np.asarray(points, dtype=np.complex128)
     if pts.ndim != 1 or len(pts) < 3:
         raise ValueError("need at least 3 ordered points")
-    centered = pts - pts.mean()
-    centered = centered - centered.mean()  # second pass kills roundoff from large offsets
-    nrm = np.linalg.norm(centered)
-    if not nrm > 0.0:
+    return Preshape(_preshape_rows(pts[None])[0])
+
+
+def _preshape_rows(points: np.ndarray) -> np.ndarray:
+    """Preshape coordinates of each row of points: the kernel of :func:`preshape`."""
+    centered = points - points.mean(axis=1, keepdims=True)
+    # second pass kills roundoff from large offsets
+    centered = centered - centered.mean(axis=1, keepdims=True)
+    nrm = np.array([np.linalg.norm(row) for row in centered])
+    if not np.all(nrm > 0.0):
         raise DegenerateContourError("all points are equal; no shape after centering")
-    return Preshape(centered / nrm)
+    return centered / nrm[:, None]
 
 
 def vw_embed(shape: Preshape) -> VWMatrix:
@@ -190,12 +196,17 @@ def chord_distance(a: Preshape, b: Preshape) -> float:
     """
     if a.dimension != b.dimension:
         raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
-    ip = np.vdot(a.coords, b.coords)
+    return _chord(a.coords, b.coords)
+
+
+def _chord(a: np.ndarray, b: np.ndarray) -> float:
+    """:func:`chord_distance` between two preshape coordinate vectors."""
+    ip = np.vdot(a, b)
     ip_sq = abs(ip) ** 2
     if ip_sq <= 1.0 - 1e-8:
         return float(np.sqrt(2.0 * (1.0 - ip_sq)))
-    res_ab = np.linalg.norm(b.coords - ip * a.coords)
-    res_ba = np.linalg.norm(a.coords - np.conj(ip) * b.coords)
+    res_ab = np.linalg.norm(b - ip * a)
+    res_ba = np.linalg.norm(a - np.conj(ip) * b)
     return float(np.sqrt(2.0 * res_ab * res_ba))
 
 

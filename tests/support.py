@@ -8,6 +8,7 @@ so the fast inner-product shortcuts can be checked against them.
 import numpy as np
 
 import contourstat as cs
+from contourstat.contour import _signed_area
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -204,3 +205,31 @@ def flood_fill_components(mask):
                         seen[rr, cc] = True
                         stack.append((rr, cc))
     return count
+
+
+# ---------------------------------------------------------------------------
+# approximation oracle
+
+
+def approx_one(curve, k, rng):
+    """Scalar oracle for one row of ``cli._approx_rows``: one k-gon through the public chain.
+
+    Returns (relative length error, squared shape distance) of the k-gon at
+    ``select_stopping_times(k, rng)``, or at the curve's own vertex fractions
+    when k equals its vertex count (no draw is made then).
+    """
+    ref_fracs = cs.StoppingTimes(curve.cum_lengths[:-1] / curve.total_length)
+    ref_points = curve.vertices
+    if k == len(curve):
+        times = ref_fracs
+    else:
+        times = cs.select_stopping_times(k, rng)
+    kgon = cs.evaluate(curve, times)
+    len_err = cs.relative_length_error(curve.total_length, kgon)
+    if _signed_area(kgon.points) < 0:
+        # mirror both configurations: arclengths and chord distance are kept
+        kgon = cs.Contour(kgon.points.conj())
+        ref_points = ref_points.conj()
+    kgon_at_ref = cs.evaluate(cs.ParamCurve.from_vertices(kgon), ref_fracs)
+    shape_sq = cs.chord_distance(cs.preshape(kgon_at_ref), cs.preshape(ref_points)) ** 2
+    return len_err, shape_sq

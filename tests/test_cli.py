@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contourstat as cs
-from contourstat.cli import _approx_one, main
+from contourstat import cli
+from contourstat.cli import _approx_rows, main
 from contourstat.contour import _signed_area
-from support import wobbly_points
+from support import approx_one, wobbly_points
 
 
 @pytest.fixture()
@@ -113,6 +116,70 @@ class TestTestCommand:
         )
         assert code == 2
         assert "variance" in capsys.readouterr().err
+
+
+class TestBadOptions:
+    """Out-of-range CLI numbers end in exit code 2 and a message naming option and value."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["approx", "--k-grid", "abc"], "--k-grid must list integers, got 'abc'"),
+            (["approx", "--k-grid", "40,2"], "--k-grid must list one or more k >= 3, got '40,2'"),
+            (["approx", "--k-grid", ","], "--k-grid must list one or more k >= 3, got ','"),
+            (["approx", "--repeats", "0"], "--repeats must be at least 1, got 0"),
+            (["approx", "--repeats", "-1"], "--repeats must be at least 1, got -1"),
+            (["bootstrap", "--B", "10"], "--B must be at least 50 resamples, got 10"),
+            (["bootstrap", "--alpha", "1.5"], "--alpha must lie in (0, 1), got 1.5"),
+            (["test", "--solve-delta", "--m0", "c0.csv", "--alpha", "0"], "--alpha must lie in (0, 1), got 0"),
+        ],
+    )
+    def test_exit_two_with_message(self, sample_dir, capsys, argv, message):
+        tmp_path, man = sample_dir
+        out = tmp_path / "o"
+        code = main([argv[0], "--manifest", str(man), "--out", str(out), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out.exists()
+
+
+class TestWorkDoneOncePerCommand:
+    def count_calls(self, monkeypatch, calls, module, name):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_manifest_parsed_once(self, sample_dir, monkeypatch):
+        tmp_path, man = sample_dir
+        calls = []
+        self.count_calls(monkeypatch, calls, cli, "parse_manifest")
+        for argv in (["mean"], ["plot"], ["approx", "--k-grid", "10", "--repeats", "1"]):
+            calls.clear()
+            assert main([argv[0], "--manifest", str(man), "--out", str(tmp_path / "o"), *argv[1:]]) == 0
+            assert calls == ["parse_manifest"]
+
+    def test_solve_delta_computes_the_mean_once(self, sample_dir, monkeypatch, capsys):
+        tmp_path, man = sample_dir
+        hyp = tmp_path / "hyp.csv"
+        cs.write_contour(cs.Contour(wobbly_points(100, amp3=0.32)), hyp)
+        calls = []
+        self.count_calls(monkeypatch, calls, cs.inference, "extrinsic_mean")
+        self.count_calls(monkeypatch, calls, cli, "extrinsic_mean")
+        argv = ["test", "--manifest", str(man), "--out", str(tmp_path / "o"), "--m0", str(hyp)]
+        assert main([*argv, "--solve-delta", "--alpha", "0.1"]) == 0
+        assert len(calls) == 1
+        solved = capsys.readouterr().out
+        shapes, times = cs.load_sample(cs.parse_manifest(man))
+        m0 = cs.preshape(cs.evaluate(cs.canonicalize(cs.read_contour(hyp)), times))
+        result = cs.neighborhood_test(shapes, m0, cs.TestConfig(0.05, alpha=0.1))
+        assert f"phi             {result.squared_distance:.10g}\n" in solved
+        assert f"s_n             {result.std_error:.10g}\n" in solved
+        assert f"critical_delta  {cs.critical_radius(shapes, m0, 0.1):.10g}\n" in solved
 
 
 class TestBootstrapCommand:
@@ -248,15 +315,16 @@ class TestApproxClockwiseKgon:
     def test_rows_match_arclength_oracle(self):
         curve = cs.canonicalize(cs.Contour(crescent_points()))
         ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+        times = [cs.select_stopping_times(4, np.random.default_rng(seed)) for seed in range(20)]
+        _, shape_sqs = _approx_rows(curve, np.array([t.times for t in times]))
         clockwise = 0
-        for seed in range(20):
-            kgon = cs.evaluate(curve, cs.select_stopping_times(4, np.random.default_rng(seed)))
+        for t, shape_sq in zip(times, shape_sqs):
+            kgon = cs.evaluate(curve, t)
             clockwise += _signed_area(kgon.points) < 0
             expected = cs.chord_distance(
                 cs.preshape(arclength_resample(kgon.points, ref_fracs)),
                 cs.preshape(curve.vertices),
             ) ** 2
-            _, shape_sq = _approx_one(curve, 4, np.random.default_rng(seed))
             assert abs(shape_sq - expected) < 1e-12
         assert clockwise >= 3
 
@@ -297,17 +365,108 @@ class TestApproxZeroAreaKgon:
     def test_rows_match_arclength_oracle(self):
         curve = cs.canonicalize(cs.Contour(np.array([0, 1, 1 + 1j, 1j])))
         ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+        times = [cs.select_stopping_times(3, np.random.default_rng(seed)) for seed in range(40)]
+        _, shape_sqs = _approx_rows(curve, np.array([t.times for t in times]))
         flat = 0
-        for seed in range(40):
-            kgon = cs.evaluate(curve, cs.select_stopping_times(3, np.random.default_rng(seed)))
+        for t, shape_sq in zip(times, shape_sqs):
+            kgon = cs.evaluate(curve, t)
             flat += _signed_area(kgon.points) == 0
             expected = cs.chord_distance(
                 cs.preshape(arclength_resample(kgon.points, ref_fracs)),
                 cs.preshape(curve.vertices),
             ) ** 2
-            _, shape_sq = _approx_one(curve, 3, np.random.default_rng(seed))
             assert abs(shape_sq - expected) < 1e-12
         assert flat >= 3
+
+
+def dent_points():
+    """Straight edge out of the tip at -3, then a concave arc sagging back to the tip."""
+    t = np.linspace(0.0, 1.0, 40)[1:-1]
+    sag = (1 + 1j) + (-4 - 1j) * t - 0.6j * np.sin(np.pi * t)
+    return np.concatenate(([-3, 0, 1 - 1j, 2, 1 + 1j], sag))
+
+
+def assert_rows_equal_oracle(curve, k, seeds):
+    """_approx_rows on one batch is bit for bit the scalar oracle looped over it."""
+    expected = [approx_one(curve, k, np.random.default_rng(seed)) for seed in seeds]
+    if k == len(curve):
+        times = np.tile(curve.cum_lengths[:-1] / curve.total_length, (len(seeds), 1))
+    else:
+        times = np.array(
+            [cs.select_stopping_times(k, np.random.default_rng(seed)).times for seed in seeds]
+        )
+    len_errs, shape_sqs = _approx_rows(curve, times)
+    assert len_errs.tolist() == [e[0] for e in expected]
+    assert shape_sqs.tolist() == [e[1] for e in expected]
+
+
+class TestApproxRowsOracle:
+    """The batched k-gon rows equal the scalar chain of `support.approx_one` exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        K=st.integers(5, 60),
+        amp3=st.floats(0.0, 0.45),
+        amp7=st.floats(0.0, 0.2),
+        phase=st.floats(0.0, 6.3),
+        R=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_rows_equal_oracle(self, K, amp3, amp7, phase, R, seed, data):
+        curve = cs.canonicalize(cs.Contour(wobbly_points(K, amp3=amp3, amp7=amp7, phase=phase)))
+        k = data.draw(st.integers(3, K + 1), label="k")
+        assert_rows_equal_oracle(curve, k, range(seed, seed + R))
+
+    def test_k_equal_to_vertex_count(self):
+        curve = cs.canonicalize(cs.Contour(wobbly_points(30)))
+        assert_rows_equal_oracle(curve, 30, range(3))
+        len_errs, _ = _approx_rows(curve, curve.cum_lengths[None, :-1] / curve.total_length)
+        assert len_errs.tolist() == [0.0]
+
+    def test_batch_mixing_clockwise_flat_and_ordinary_rows(self):
+        curve = cs.canonicalize(cs.Contour(dent_points()))
+        seeds = range(40)
+        areas = [
+            _signed_area(cs.evaluate(curve, cs.select_stopping_times(3, np.random.default_rng(s))).points)
+            for s in seeds
+        ]
+        assert sum(a < 0 for a in areas) >= 3
+        assert sum(a == 0 for a in areas) >= 1
+        assert sum(a > 0 for a in areas) >= 3
+        assert_rows_equal_oracle(curve, 3, seeds)
+
+    def test_report_equals_looped_oracle(self, tmp_path):
+        contours = {
+            "w": wobbly_points(60, amp3=0.4),
+            "cres": crescent_points(),
+            "dent": dent_points(),
+        }
+        lines = ["seed 5"]
+        for name, pts in contours.items():
+            cs.write_contour(cs.Contour(pts), tmp_path / f"{name}.csv")
+            lines.append(f"contour {name} {name}.csv")
+        man = tmp_path / "m.manifest"
+        man.write_text("\n".join(lines) + "\n")
+        k_grid, repeats = (3, 4, 60, 61), 7
+        out = tmp_path / "rep"
+        argv = ["approx", "--manifest", str(man), "--out", str(out)]
+        assert main([*argv, "--k-grid", ",".join(map(str, k_grid)), "--repeats", str(repeats)]) == 0
+
+        curves = [cs.canonicalize(cs.read_contour(tmp_path / f"{n}.csv")) for n in contours]
+        report = ["k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist"]
+        for ki, k in enumerate(k_grid):
+            len_errs, shape_sqs = [], []
+            for rep in range(repeats):
+                rng = np.random.default_rng(np.random.SeedSequence(entropy=5, spawn_key=(ki, rep)))
+                for curve in curves:
+                    len_err, shape_sq = approx_one(curve, k, rng)
+                    len_errs.append(len_err)
+                    shape_sqs.append(shape_sq)
+            m1, s1 = float(np.mean(len_errs)), float(np.std(len_errs))
+            m2, s2 = float(np.mean(shape_sqs)), float(np.std(shape_sqs))
+            report.append(f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}")
+        assert (out / "approx_report.csv").read_bytes() == ("\n".join(report) + "\n").encode()
 
 
 class TestPlotCommand:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import contourstat as cs
+from contourstat.contour import _require_polygons
 from support import is_simple, wobbly_contour, wobbly_points
 
 SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])  # ccw, centered
@@ -24,6 +25,25 @@ class TestContourType:
     def test_rejects_fewer_than_three_distinct(self):
         with pytest.raises(cs.DegenerateContourError):
             cs.Contour([0, 1, 0, 1])
+
+    def test_row_checks_match_unique_count(self):
+        # polygons over 3 values: many repeats, alternations and valid ones
+        rng = np.random.default_rng(4)
+        for _ in range(2000):
+            pts = rng.integers(0, 3, size=int(rng.integers(3, 9))) * (1 + 0.5j)
+            if np.any(np.roll(pts, -1) == pts):
+                expected = "two equal consecutive points"
+            elif len(np.unique(pts)) < 3:
+                expected = "fewer than 3 distinct points"
+            else:
+                expected = None
+            # alone, and as the second row behind a valid polygon
+            for rows in (pts[None], np.stack((ngon(len(pts)), pts))):
+                if expected is None:
+                    _require_polygons(rows)
+                else:
+                    with pytest.raises(cs.DegenerateContourError, match=expected):
+                        _require_polygons(rows)
 
     def test_degenerate_three_gon_with_repeated_point_rejected(self):
         with pytest.raises(cs.DegenerateContourError):
