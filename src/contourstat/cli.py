@@ -252,8 +252,9 @@ def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.n
     clockwise = _signed_area(kgons) < 0
     kgons[clockwise] = kgons[clockwise].conj()
     ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+    # a configuration, not a contour: a zero-area k-gon maps reference
+    # fractions f and 1 - f about its turning point to one point
     kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
-    _require_polygons(kgons_at_ref)
     ref, mirrored_ref = _preshape_rows(np.stack((curve.vertices, curve.vertices.conj())))
     shape_sqs = [
         _chord(g, mirrored_ref if cw else ref) ** 2
@@ -289,8 +290,18 @@ def _hypothesis_shape(config: RunConfig, times: StoppingTimes):
     return preshape(evaluate(canonicalize(m0_contour), times))
 
 
-def cmd_test(config: RunConfig) -> None:
+def _load_two_or_more(config: RunConfig):
+    """The sample of a command that needs at least two contours (test, bootstrap)."""
     shapes, times = load_sample(config.manifest)
+    if len(shapes) < 2:
+        raise ContourStatError(
+            f"{config.command} needs at least 2 contours, the manifest lists {len(shapes)}"
+        )
+    return shapes, times
+
+
+def cmd_test(config: RunConfig) -> None:
+    shapes, times = _load_two_or_more(config)
     m0 = _hypothesis_shape(config, times)
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
@@ -312,7 +323,7 @@ def cmd_test(config: RunConfig) -> None:
 
 
 def cmd_bootstrap(config: RunConfig) -> None:
-    shapes, times = load_sample(config.manifest)
+    shapes, times = _load_two_or_more(config)
     region = bootstrap_region(
         shapes, B=config.B, alpha=config.alpha, seed=config.manifest.seed
     )

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import DegenerateVarianceError
 from .shape_space import (
@@ -148,6 +147,10 @@ def neighborhood_test(
             "coincides with the sample mean shape, or the sample is concentrated "
             "at a single shape"
         )
+    # imported here, not at module level: scipy costs ~0.27 s to import and
+    # only the test and its critical radius need it
+    from scipy.special import ndtr, ndtri
+
     xi = float(ndtri(1.0 - config.alpha))
     t = math.sqrt(n) * (phi - config.radius**2) / s
     p = float(ndtr(-t))
@@ -182,5 +185,7 @@ def critical_radius(
 
 def _radius_at_level(phi: float, s: float, n: int, alpha: float) -> float:
     """sqrt(max(0, phi - xi_{1-alpha} s_n / sqrt(n))): the radius where T_n = xi_{1-alpha}."""
+    from scipy.special import ndtri
+
     xi = float(ndtri(1.0 - alpha))
     return math.sqrt(max(0.0, phi - xi * s / math.sqrt(n)))

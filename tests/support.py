@@ -8,7 +8,7 @@ so the fast inner-product shortcuts can be checked against them.
 import numpy as np
 
 import contourstat as cs
-from contourstat.contour import _signed_area
+from contourstat.contour import _interpolate, _signed_area
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -207,12 +207,56 @@ def flood_fill_components(mask):
     return count
 
 
+# Moore neighborhood in clockwise screen order (rows grow downward), from west
+_MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
+
+
+def moore_trace(mask):
+    """Oracle for ``ingestion._trace_boundary``: the same Moore trace with a bounds check per probe.
+
+    Starts at the top-most then left-most foreground pixel, entered from the
+    west, and stops upon re-entering the start pixel from the same backtrack
+    position (Jacob's criterion).  Returns the boundary as (row, col) pairs.
+    """
+    rows, cols = mask.shape
+    fg_rows, fg_cols = np.nonzero(mask)
+    r0 = int(fg_rows.min())
+    c0 = int(fg_cols[fg_rows == r0].min())
+    start = (r0, c0)
+    start_back = (r0, c0 - 1)
+
+    def fg(p):
+        r, c = p
+        return 0 <= r < rows and 0 <= c < cols and bool(mask[r, c])
+
+    boundary = [start]
+    cur, back = start, start_back
+    for _ in range(4 * len(fg_rows) + 8):
+        bi = _MOORE.index((back[0] - cur[0], back[1] - cur[1]))
+        nxt = None
+        for step in range(1, 9):
+            d = _MOORE[(bi + step) % 8]
+            cand = (cur[0] + d[0], cur[1] + d[1])
+            if fg(cand):
+                prev_d = _MOORE[(bi + step - 1) % 8]
+                nxt = cand
+                new_back = (cur[0] + prev_d[0], cur[1] + prev_d[1])
+                break
+        if nxt is None:
+            return boundary  # isolated pixel
+        cur, back = nxt, new_back
+        if cur == start and back == start_back:
+            return boundary
+        boundary.append(cur)
+    raise AssertionError("boundary tracing did not terminate")
+
+
 # ---------------------------------------------------------------------------
 # approximation oracle
 
 
 def approx_one(curve, k, rng):
-    """Scalar oracle for one row of ``cli._approx_rows``: one k-gon through the public chain.
+    """Scalar oracle for one row of ``cli._approx_rows``: one k-gon through the scalar chain.
 
     Returns (relative length error, squared shape distance) of the k-gon at
     ``select_stopping_times(k, rng)``, or at the curve's own vertex fractions
@@ -230,6 +274,11 @@ def approx_one(curve, k, rng):
         # mirror both configurations: arclengths and chord distance are kept
         kgon = cs.Contour(kgon.points.conj())
         ref_points = ref_points.conj()
-    kgon_at_ref = cs.evaluate(cs.ParamCurve.from_vertices(kgon), ref_fracs)
+    param = cs.ParamCurve.from_vertices(kgon)
+    # the points of evaluate(), not a Contour: a zero-area k-gon can put two
+    # reference fractions on one point
+    kgon_at_ref = _interpolate(
+        param.cum_lengths[None], param.vertices[None], ref_fracs.times[None]
+    )[0]
     shape_sq = cs.chord_distance(cs.preshape(kgon_at_ref), cs.preshape(ref_points)) ** 2
     return len_err, shape_sq

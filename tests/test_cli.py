@@ -144,6 +144,39 @@ class TestBadOptions:
         assert not out.exists()
 
 
+class TestOneContourManifest:
+    """test and bootstrap need two contours; one ends in exit 2 naming the count."""
+
+    def write_sample(self, tmp_path):
+        f = tmp_path / "c.csv"
+        cs.write_contour(cs.Contour(wobbly_points(90)), f)
+        man = tmp_path / "one.manifest"
+        man.write_text(f"k 30\ncontour only {f.name}\n")
+        return f, man
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["test", "--delta", "0.1"],
+            ["test", "--solve-delta"],
+            ["bootstrap", "--B", "50"],
+        ],
+    )
+    def test_exit_two_with_message(self, tmp_path, capsys, argv):
+        f, man = self.write_sample(tmp_path)
+        if argv[0] == "test":
+            argv = [*argv, "--m0", str(f)]
+        code = main([argv[0], "--manifest", str(man), "--out", str(tmp_path / "o"), *argv[1:]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {argv[0]} needs at least 2 contours, the manifest lists 1\n"
+
+    @pytest.mark.parametrize("command", ["mean", "plot"])
+    def test_mean_and_plot_still_run(self, tmp_path, command):
+        _, man = self.write_sample(tmp_path)
+        assert main([command, "--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
+
+
 class TestWorkDoneOncePerCommand:
     def count_calls(self, monkeypatch, calls, module, name):
         original = getattr(module, name)
@@ -377,6 +410,24 @@ class TestApproxZeroAreaKgon:
             ) ** 2
             assert abs(shape_sq - expected) < 1e-12
         assert flat >= 3
+
+
+    def test_two_reference_fractions_on_one_point(self):
+        # a regular pentagon and three times on its last edge: the k-gon goes
+        # out and back along one segment, so the reference fractions 0.4 and
+        # 0.6 both land on one point of it
+        curve = cs.canonicalize(cs.Contour(wobbly_points(5, amp3=0.0, amp7=0.0)))
+        times = cs.select_stopping_times(3, np.random.default_rng(330))
+        kgon = cs.evaluate(curve, times)
+        assert abs(_signed_area(kgon.points)) < 1e-15
+        ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+        with pytest.raises(cs.DegenerateContourError, match="equal consecutive points"):
+            cs.evaluate(cs.ParamCurve.from_vertices(kgon), cs.StoppingTimes(ref_fracs))
+        at_ref = arclength_resample(kgon.points, ref_fracs)
+        _, shape_sqs = _approx_rows(curve, times.times[None])
+        expected = cs.chord_distance(cs.preshape(at_ref), cs.preshape(curve.vertices)) ** 2
+        assert abs(shape_sqs[0] - expected) < 1e-12
+        assert_rows_equal_oracle(curve, 3, [330])
 
 
 def dent_points():

@@ -8,8 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 import contourstat as cs
 from contourstat.cli import main
-from contourstat.ingestion import _count_components, _read_pgm
-from support import flood_fill_components, wobbly_points
+from contourstat.ingestion import _count_components, _read_pgm, _trace_boundary
+from support import flood_fill_components, moore_trace, wobbly_points
 
 
 def write_pgm_p5(path, values, maxval=255):
@@ -35,6 +35,62 @@ def blob_mask(seed, size=48):
     ang = np.arctan2(yy - cy, xx - cx)
     r = r0 + sum(a * np.cos((m + 1) * ang + p) for m, (a, p) in enumerate(zip(amps, phases)))
     return np.hypot(yy - cy, xx - cx) <= r
+
+
+def serpentine(n):
+    """Vertical bars of width 1 on the even columns, joined alternately at the top and bottom."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[:, ::2] = True
+    mask[0, 1::4] = True
+    mask[-1, 3::4] = True
+    return mask
+
+
+def spiral(n):
+    """Square spiral of width 1, one background pixel between its turns."""
+    mask = np.zeros((n, n), dtype=bool)
+    r = c = 0
+    mask[r, c] = True
+    # legs of n - 1 three times, then n - 3 twice, n - 5 twice, ...
+    lengths = [n - 1] + [m for m in range(n - 1, 0, -2) for _ in (0, 1)]
+    for i, length in enumerate(lengths):
+        dr, dc = ((0, 1), (1, 0), (0, -1), (-1, 0))[i % 4]
+        for _ in range(length):
+            r, c = r + dr, c + dc
+            mask[r, c] = True
+    return mask
+
+
+def comb(n):
+    """A spine along the top row with teeth of width 1 on the even columns."""
+    mask = np.zeros((n, n), dtype=bool)
+    mask[0] = True
+    mask[:, ::2] = True
+    return mask
+
+
+def checkerboard(n, block):
+    cells = np.arange(n) // block
+    return (cells[:, None] + cells[None, :]) % 2 == 0
+
+
+def corner_blobs(gap):
+    """Two 4x4 squares whose nearest corners are diagonal neighbours (gap 0) or further apart."""
+    mask = np.zeros((12 + gap, 12 + gap), dtype=bool)
+    mask[2:6, 2:6] = True
+    mask[6 + gap : 10 + gap, 6 + gap : 10 + gap] = True
+    return mask
+
+
+def assert_same_trace(mask):
+    try:
+        expected = moore_trace(mask)
+    except AssertionError:
+        # neither trace meets Jacob's criterion (some masks with width-1 parts)
+        with pytest.raises(cs.MaskError, match="did not terminate"):
+            _trace_boundary(mask)
+    else:
+        assert _trace_boundary(mask) == expected
 
 
 class TestReadCsv:
@@ -252,6 +308,67 @@ class TestMaskComponents:
     @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
     def test_label_count_matches_flood_fill(self, mask):
         assert _count_components(mask) == flood_fill_components(mask)
+
+    @pytest.mark.parametrize(
+        "name, mask",
+        [
+            ("vertical serpentine", serpentine(200)),
+            ("horizontal serpentine", serpentine(199).T),
+            ("spiral", spiral(200)),
+            ("spiral, odd side", spiral(151)),
+            ("comb", comb(200)),
+            ("comb teeth without spine", comb(200)[1:]),
+            ("checkerboard", checkerboard(200, 1)),
+            ("checkerboard of 2x2 blocks", checkerboard(200, 2)),
+            ("isolated pixels", checkerboard(200, 1) & (np.arange(200) % 2 == 0)[:, None]),
+            ("single pixel", np.ones((1, 1), dtype=bool)),
+            ("single pixel inside", np.pad(np.ones((1, 1), dtype=bool), 3)),
+            ("full", np.ones((200, 200), dtype=bool)),
+            ("1 x N", np.ones((1, 200), dtype=bool)),
+            ("N x 1", np.ones((200, 1), dtype=bool)),
+            ("1 x N dashes", (np.arange(200) % 3 != 0)[None, :]),
+            ("N x 1 dashes", (np.arange(200) % 3 != 0)[:, None]),
+            ("blobs touching at a corner", corner_blobs(0)),
+            ("blobs one pixel apart", corner_blobs(1)),
+        ],
+    )
+    def test_fixed_mask_count_matches_flood_fill(self, name, mask):
+        assert _count_components(mask) == flood_fill_components(mask)
+
+    def test_large_vertical_serpentine_is_one_component(self):
+        # one path of ~500,000 pixels whose run graph is a chain of ~500,000 runs
+        mask = serpentine(1001)
+        assert _count_components(mask) == 1
+        assert _count_components(mask.T) == 1
+
+
+class TestTraceBoundary:
+    """The tracer walks exactly the pixels of the bounds-checked oracle trace."""
+
+    def test_blob_masks(self):
+        for seed in range(100):
+            assert_same_trace(blob_mask(seed))
+
+    @pytest.mark.parametrize(
+        "mask",
+        [
+            np.ones((3, 3), dtype=bool),
+            np.ones((1, 1), dtype=bool),
+            np.ones((40, 1), dtype=bool),
+            corner_blobs(0),
+            spiral(41),
+            comb(40),
+            checkerboard(20, 2),
+        ],
+    )
+    def test_fixed_masks(self, mask):
+        assert_same_trace(mask)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16))))
+    def test_random_masks(self, mask):
+        if mask.any():
+            assert_same_trace(mask)
 
 
 class TestManifest:
