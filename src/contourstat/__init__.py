@@ -15,10 +15,8 @@ from .contour import (
     StoppingTimes,
     build_correspondence,
     canonicalize,
-    center_of_mass,
     evaluate,
     max_edge_length,
-    polygon_length,
     relative_length_error,
     select_stopping_times,
     union_of_times,
@@ -61,10 +59,6 @@ from .shape_space import (
     frechet_value,
     mean_matrix,
     preshape,
-    project_to_manifold,
-    spectral_gap_coefficients,
-    tangent_coordinates,
-    vw_embed,
 )
 from .svg import PathStyle, svg_render
 
@@ -76,9 +70,7 @@ __all__ = [
     "Contour",
     "ParamCurve",
     "StoppingTimes",
-    "center_of_mass",
     "canonicalize",
-    "polygon_length",
     "select_stopping_times",
     "evaluate",
     "max_edge_length",
@@ -92,16 +84,12 @@ __all__ = [
     "EigenSystem",
     "ExtrinsicCovariance",
     "preshape",
-    "vw_embed",
     "chord_distance",
     "frechet_value",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",
-    "project_to_manifold",
-    "tangent_coordinates",
     "extrinsic_covariance",
-    "spectral_gap_coefficients",
     # inference
     "TestConfig",
     "TestResult",

@@ -7,12 +7,9 @@ confidence region is the chord-distance ball of that radius around the
 sample mean.  Resamples use independent substreams keyed by (seed, index),
 so the result is a pure function of the sample and the seed.
 
-Every resampled mean matrix (1/n) sum c_i gamma_i gamma_i^H lives in the span
-of the n sample preshapes, so its top eigenvector does too.  The resamples
-therefore run on the d-dimensional coordinates of the sample in an
-orthonormal basis of span{1, gamma_1..gamma_n}, d = min(k, n + 1), and each
-mean is lifted back to C^k; this replaces a k x k eigenproblem per resample
-by a d x d one (Kent 1994, the dual form of the complex Bingham problem).
+Every mean, the full sample's and each resample's, comes from
+:func:`~contourstat.shape_space.extrinsic_mean`, which forms no k x k matrix
+when the sample has fewer shapes than landmarks (n < k).
 """
 
 from __future__ import annotations
@@ -113,10 +110,7 @@ def bootstrap_region(
     """Bootstrap confidence region for the extrinsic mean shape.
 
     Deterministic given ``seed``: resample i always uses the substream keyed
-    by (seed, i).  When n + 1 < k the resamples run on the sample's
-    coordinates in a basis of its span (see the module docstring), which
-    gives the same means, spectral gaps and focal retries as the k x k
-    problem up to roundoff.  ``threads`` is deprecated and ignored.
+    by (seed, i).  ``threads`` is deprecated and ignored.
     """
     if len(sample) < 2:
         raise ValueError(f"need at least 2 shapes, got {len(sample)}")
@@ -131,17 +125,7 @@ def bootstrap_region(
             stacklevel=2,
         )
     mean, _ = extrinsic_mean(sample, gap_tol)
-    gam = np.stack([s.coords for s in sample])
-    n, k = gam.shape
-    if n + 1 < k:
-        basis = _span_basis(gam)
-        reduced = [Preshape(c) for c in gam @ basis.conj()]
-        boot = [
-            Preshape(basis @ resample_mean(reduced, _substream(seed, i), gap_tol).coords)
-            for i in range(B)
-        ]
-    else:
-        boot = [resample_mean(sample, _substream(seed, i), gap_tol) for i in range(B)]
+    boot = [resample_mean(sample, _substream(seed, i), gap_tol) for i in range(B)]
     dist = np.array([chord_distance(b, mean) for b in boot])
     radius = float(np.sort(dist)[_quantile_index(alpha, B) - 1])
     return BootstrapRegion(
@@ -152,24 +136,6 @@ def bootstrap_region(
         alpha=alpha,
         included=dist <= radius,
     )
-
-
-def _span_basis(gam: np.ndarray) -> np.ndarray:
-    """Orthonormal k x (n + 1) basis of span{1, gamma_1..gamma_n} (rows of ``gam``).
-
-    The basis maps the constant vector of C^(n+1) onto that of C^k, so it
-    carries centered vectors to centered vectors in both directions.
-    """
-    n, k = gam.shape
-    ones = np.full((k, 1), 1.0 / math.sqrt(k))
-    q, _ = np.linalg.qr(np.hstack((ones, gam.T)))
-    q[:, 0] = ones[:, 0]  # QR leaves the sign of the first column to chance
-    # Householder reflection swapping e_1 and the unit constant vector of C^d
-    d = n + 1
-    v = np.full(d, 1.0 / math.sqrt(d))
-    v[0] -= 1.0
-    reflection = np.eye(d) - 2.0 * np.outer(v, v) / (v @ v)
-    return q @ reflection
 
 
 def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:

@@ -22,9 +22,7 @@ __all__ = [
     "Contour",
     "ParamCurve",
     "StoppingTimes",
-    "center_of_mass",
     "canonicalize",
-    "polygon_length",
     "select_stopping_times",
     "evaluate",
     "max_edge_length",
@@ -182,11 +180,6 @@ class StoppingTimes:
         return len(self.times)
 
 
-def center_of_mass(curve: ParamCurve) -> complex:
-    """Arclength-weighted mean point of the curve (uniform measure on the polygon)."""
-    return _arc_centroid(curve.vertices)
-
-
 def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     """Normalize orientation and start point, and parameterize by arclength.
 
@@ -215,11 +208,6 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     start = int(candidates[np.argmin(angles)])
     rolled = np.roll(pts, -start)
     return ParamCurve.from_vertices(rolled)
-
-
-def polygon_length(curve: ParamCurve) -> float:
-    """Total length of the closed polygon, closing edge included."""
-    return float(curve.total_length)
 
 
 def select_stopping_times(k: int, rng: np.random.Generator) -> StoppingTimes:

@@ -81,10 +81,12 @@ def tangent_offset(eigen: EigenSystem, m0: Preshape) -> np.ndarray:
     """Tangent coordinates of the embedded m0 relative to the embedded mean.
 
     Closed form of the frame coefficients of j(m0) - j(mean):
-    sqrt(2) <e_a, m0> <m0, e_1> for a = 2..k, with <x, y> = x^H y.  Validated
-    against the explicit Hilbert-Schmidt projection in the tests.  The result
-    is covariant under the phase of m0, but every delivered test quantity is
-    phase-invariant.
+    sqrt(2) <e_a, m0> <m0, e_1> for a = 2..r over the eigenpairs of ``eigen``,
+    with <x, y> = x^H y.  Validated against the explicit Hilbert-Schmidt
+    projection in the tests.  Directions outside the listed eigenvectors
+    carry zero sample covariance, so dropping them leaves s_n unchanged.  The
+    result is covariant under the phase of m0, but every delivered test
+    quantity is phase-invariant.
     """
     if m0.dimension != eigen.dimension:
         raise ValueError(f"dimension mismatch: {m0.dimension} vs {eigen.dimension}")

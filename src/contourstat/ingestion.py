@@ -9,8 +9,9 @@ Two input formats are supported, both read bit-exactly with numpy alone
 * PGM masks (P5 binary or P2 ASCII): 0 is background, any nonzero value is
   foreground.  The mask must contain exactly one 8-connected foreground
   component; its boundary is traced with Moore-neighbor tracing (Jacob's
-  stopping criterion) from the top-most then left-most foreground pixel and
-  reported counterclockwise.
+  stopping criterion, or the start pixel stepping to the second pixel again)
+  from the top-most then left-most foreground pixel and reported
+  counterclockwise.
 
 A sample manifest is a plain text file, one directive per line::
 
@@ -305,12 +306,16 @@ _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
 
 
 def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Moore-neighbor boundary trace with Jacob's stopping criterion.
+    """Moore-neighbor boundary trace.
 
     Starts at the top-most then left-most foreground pixel, entered from the
-    west (guaranteed background there), and stops upon re-entering the start
-    pixel from the same backtrack position.  The mask is padded with one
-    background pixel on every side and probed by flat index, so no probe
+    west (guaranteed background there).  Stops upon re-entering the start
+    pixel from the same backtrack position (Jacob's criterion), or when the
+    trace is at the start pixel and its next step goes to the trace's second
+    pixel (the boundary-following stop of Gonzalez & Woods): the tip of a
+    one-pixel-wide spur is never re-entered from the west.  Both stops close
+    the same cycle where Jacob's criterion is met.  The mask is padded with
+    one background pixel on every side and probed by flat index, so no probe
     needs a bounds check.
     """
     rows, cols = mask.shape
@@ -338,6 +343,9 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
                 break
         else:
             break  # isolated pixel
+        if cur == start and len(boundary) > 1 and nxt == boundary[1]:
+            boundary.pop()  # the start pixel, appended when the trace re-entered it
+            break
         cur = nxt
         if cur == start and back == start_back:
             break

@@ -7,16 +7,21 @@ point of complex projective space.  The Veronese-Whitney (VW) embedding sends
 the shape of gamma to the rank-one Hermitian projector gamma gamma^H in
 Hilbert-Schmidt space; the induced chord distance and the resulting extrinsic
 (Frechet) mean have closed forms driven by one Hermitian eigendecomposition
-of the averaged embedded matrix.
+of the averaged embedded matrix M = (1/n) sum gamma_i gamma_i^H.
 
-Distances and tangent coordinates are computed through inner-product
-shortcuts, O(n k^2 + k^3) overall; the k x k matrix is only materialized for
-the eigendecomposition of the mean.  The shortcuts are validated against
-explicit Hilbert-Schmidt arithmetic in the test suite.
+M has rank at most n.  When the sample has fewer shapes than landmarks
+(n < k), its eigensystem comes from one thin SVD of the n stacked preshapes,
+O(k n^2), and M is never formed (the dual form of Kent 1994, *The complex
+Bingham distribution and shape analysis*); the k x k matrix is formed and
+eigendecomposed only when n >= k.  Distances, covariances and tangent
+coordinates are computed through inner-product shortcuts on the returned
+eigenvectors, which are validated against explicit Hilbert-Schmidt
+arithmetic in the test suite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,16 +37,12 @@ __all__ = [
     "EigenSystem",
     "ExtrinsicCovariance",
     "preshape",
-    "vw_embed",
     "chord_distance",
     "frechet_value",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",
-    "project_to_manifold",
-    "tangent_coordinates",
     "extrinsic_covariance",
-    "spectral_gap_coefficients",
 ]
 
 # Relative spectral gaps below this are treated as focal: the mean direction
@@ -105,12 +106,13 @@ class VWMatrix:
 
 @dataclass(frozen=True, eq=False)
 class EigenSystem:
-    """Descending eigendecomposition of a Hermitian matrix.
+    """Descending eigenpairs of a Hermitian k x k matrix, r <= k of them.
 
-    ``eigenvectors`` holds orthonormal eigenvectors in columns, ordered to
-    match ``eigenvalues``.  Each column is phase-normalized so that its
-    largest-magnitude entry is real and positive, making the decomposition
-    reproducible across runs.
+    ``eigenvectors`` holds r orthonormal eigenvectors in its k x r columns,
+    ordered to match ``eigenvalues``.  Eigenvalues not listed are zero: the
+    mean matrix of n < k shapes is described on its range, r = n.  Each
+    column is phase-normalized so that its largest-magnitude entry is real
+    and positive, making the decomposition reproducible across runs.
     """
 
     eigenvalues: np.ndarray
@@ -119,7 +121,7 @@ class EigenSystem:
     def __post_init__(self):
         w = np.asarray(self.eigenvalues, dtype=np.float64)
         v = np.asarray(self.eigenvectors, dtype=np.complex128)
-        if v.ndim != 2 or v.shape[0] != v.shape[1] or len(w) != v.shape[0]:
+        if v.ndim != 2 or not 0 < v.shape[1] <= v.shape[0] or w.shape != (v.shape[1],):
             raise ValueError("eigenvalues/eigenvectors have inconsistent shapes")
         if np.any(np.diff(w) > 0):
             raise ValueError("eigenvalues must be in descending order")
@@ -131,17 +133,18 @@ class EigenSystem:
 
     @property
     def dimension(self) -> int:
-        return len(self.eigenvalues)
+        return self.eigenvectors.shape[0]
 
     @property
     def gap(self) -> float:
-        """Top spectral gap: largest eigenvalue minus the second largest."""
-        return float(self.eigenvalues[0] - self.eigenvalues[1])
+        """Top spectral gap: largest eigenvalue minus the second largest (0 if not listed)."""
+        second = self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
+        return float(self.eigenvalues[0] - second)
 
 
 @dataclass(frozen=True, eq=False)
 class ExtrinsicCovariance:
-    """Extrinsic sample covariance in tangent coordinates: (k-1) x (k-1) Hermitian."""
+    """Extrinsic sample covariance in tangent coordinates: (r-1) x (r-1) Hermitian."""
 
     entries: np.ndarray
 
@@ -175,12 +178,6 @@ def _preshape_rows(points: np.ndarray) -> np.ndarray:
     if not np.all(nrm > 0.0):
         raise DegenerateContourError("all points are equal; no shape after centering")
     return centered / nrm[:, None]
-
-
-def vw_embed(shape: Preshape) -> VWMatrix:
-    """Veronese-Whitney embedding: the rank-one projector gamma gamma^H."""
-    g = shape.coords
-    return VWMatrix(np.outer(g, g.conj()))
 
 
 def chord_distance(a: Preshape, b: Preshape) -> float:
@@ -245,15 +242,18 @@ def eigensystem(m: VWMatrix | np.ndarray) -> EigenSystem:
         raise ValueError("matrix is not Hermitian; eigensystem undefined")
     w, v = np.linalg.eigh(a)
     w = w[::-1].copy()
-    v = v[:, ::-1].copy()
-    # phase convention: largest-magnitude entry of each eigenvector real positive
-    lead = np.argmax(np.abs(v), axis=0)
-    pivots = v[lead, np.arange(v.shape[1])]
-    v = v * (np.abs(pivots) / pivots)
+    v = _phase(v[:, ::-1].copy())
     recon = (v * w) @ v.conj().T
     if np.max(np.abs(a - recon)) > 1e-8 * scale:
         raise ValueError("eigendecomposition failed the reconstruction check")
     return EigenSystem(w, v)
+
+
+def _phase(v: np.ndarray) -> np.ndarray:
+    """Rotate each column so that its largest-magnitude entry is real and positive."""
+    lead = np.argmax(np.abs(v), axis=0)
+    pivots = v[lead, np.arange(v.shape[1])]
+    return v * (np.abs(pivots) / pivots)
 
 
 def _require_gap(eigen: EigenSystem, gap_tol: float) -> None:
@@ -272,44 +272,23 @@ def extrinsic_mean(
     """Extrinsic (VW) mean shape of a sample, with the mean matrix's eigensystem.
 
     The mean is the projective point of the top eigenvector of the averaged
-    embedded matrix.  Raises :class:`FocalDistributionError` when the top
+    embedded matrix M.  For n < k shapes the eigensystem is that of M on its
+    range, rank n: with Gamma^T / sqrt(n) = U S W^H (thin SVD, the sample in
+    the rows of Gamma), M = U S^2 U^H.  Otherwise it is the full k x k
+    eigensystem of M.  Raises :class:`FocalDistributionError` when the top
     eigenvalue is not simple relative to ``gap_tol``, in which case no unique
     minimizer of the Frechet function exists.
     """
-    es = eigensystem(mean_matrix(sample))
+    n = len(sample)
+    if 0 < n < sample[0].dimension:
+        u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
+        es = EigenSystem(s**2, _phase(u))
+    else:
+        es = eigensystem(mean_matrix(sample))
     _require_gap(es, gap_tol)
     # re-center and renormalize defensively; the top eigenvector is already
     # centered up to eigensolver roundoff because every gamma_i is
     return preshape(es.eigenvectors[:, 0]), es
-
-
-def project_to_manifold(
-    a: VWMatrix | np.ndarray, gap_tol: float = DEFAULT_GAP_TOL
-) -> VWMatrix:
-    """Closest rank-one projector: nu nu^H for the top unit eigenvector nu."""
-    es = eigensystem(a)
-    _require_gap(es, gap_tol)
-    nu = es.eigenvectors[:, 0]
-    return VWMatrix(np.outer(nu, nu.conj()))
-
-
-def tangent_coordinates(v: np.ndarray, eigen: EigenSystem) -> np.ndarray:
-    """Complex coordinates of a Hermitian matrix against the tangent frame at the mean.
-
-    The orthonormal frame at the embedded mean consists of
-    F_a = (e_a e_1^H + e_1 e_a^H) / sqrt(2) together with its i-rotation, for
-    a = 2..k; combining the two real coefficients of v along each pair into
-    one complex number gives sqrt(2) e_a^H v e_1.  The closed form is
-    validated against explicit Hilbert-Schmidt projections in the tests.
-    """
-    v = np.asarray(v, dtype=np.complex128)
-    k = eigen.dimension
-    if v.shape != (k, k):
-        raise ValueError(f"expected a {k} x {k} matrix, got shape {v.shape}")
-    if np.max(np.abs(v - v.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
-        raise ValueError("tangent_coordinates expects a Hermitian matrix")
-    vecs = eigen.eigenvectors
-    return np.sqrt(2.0) * (vecs[:, 1:].conj().T @ (v @ vecs[:, 0]))
 
 
 def extrinsic_covariance(
@@ -319,10 +298,10 @@ def extrinsic_covariance(
 ) -> ExtrinsicCovariance:
     """Extrinsic sample covariance in the tangent coordinates at the mean.
 
-    Entry (a, b), for a, b = 2..k, is
+    Entry (a, b), for a, b = 2..r over the r eigenpairs of ``eigen``, is
 
         n^-1 (l_1 - l_a)^-1 (l_1 - l_b)^-1
-            sum_r <e_a, gamma_r> <e_b, gamma_r>* |<e_1, gamma_r>|^2
+            sum_i <e_a, gamma_i> <e_b, gamma_i>* |<e_1, gamma_i>|^2
 
     with l_a the descending eigenvalues of the mean matrix, e_a its
     eigenvectors, and <x, y> = x^H y.  Requires the top eigenvalue to be
@@ -334,21 +313,9 @@ def extrinsic_covariance(
     if k != eigen.dimension:
         raise ValueError(f"sample dimension {k} does not match eigensystem {eigen.dimension}")
     _require_gap(eigen, gap_tol)
-    proj = gam @ eigen.eigenvectors.conj()  # proj[r, a] = <e_a, gamma_r>
+    proj = gam @ eigen.eigenvectors.conj()  # proj[i, a] = <e_a, gamma_i>
     weighted = proj[:, 1:] * np.abs(proj[:, :1])
     gaps = eigen.eigenvalues[0] - eigen.eigenvalues[1:]
     cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (n * np.outer(gaps, gaps))
     return ExtrinsicCovariance((cov + cov.conj().T) / 2.0)
 
-
-def spectral_gap_coefficients(
-    eigen: EigenSystem, gap_tol: float = DEFAULT_GAP_TOL
-) -> np.ndarray:
-    """Coefficients 1 / (l_1 - l_a), a = 2..k, of the projection differential.
-
-    These scale the eigenprojections in the asymptotic distribution of the
-    embedded sample mean around the embedded population mean; exposed as a
-    diagnostic for how strongly each tangent direction is amplified.
-    """
-    _require_gap(eigen, gap_tol)
-    return 1.0 / (eigen.eigenvalues[0] - eigen.eigenvalues[1:])

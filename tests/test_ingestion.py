@@ -9,7 +9,12 @@ from hypothesis.extra.numpy import arrays
 import contourstat as cs
 from contourstat.cli import main
 from contourstat.ingestion import _count_components, _read_pgm, _trace_boundary
-from support import flood_fill_components, moore_trace, wobbly_points
+from support import (
+    assert_outer_boundary_walk,
+    flood_fill_components,
+    moore_trace,
+    wobbly_points,
+)
 
 
 def write_pgm_p5(path, values, maxval=255):
@@ -82,15 +87,44 @@ def corner_blobs(gap):
     return mask
 
 
+def width_one_t():
+    """A 9x9 T of width 1: the start pixel is the west tip of its bar."""
+    mask = np.zeros((9, 9), dtype=bool)
+    mask[1, 1:8] = True
+    mask[1:8, 4] = True
+    return mask
+
+
+def disk_with_diagonal_spur():
+    """A disk with a one-pixel-wide spur running up-left from it to the start pixel."""
+    rr, cc = np.mgrid[0:30, 0:30]
+    mask = (rr - 17) ** 2 + (cc - 17) ** 2 <= 64
+    for i in range(7):
+        mask[11 - i, 11 - i] = True
+    return mask
+
+
+def left_comb():
+    """A spine on the right with teeth of width 1 pointing left; the top tooth's tip starts."""
+    mask = np.zeros((21, 12), dtype=bool)
+    mask[1:20, 8:11] = True
+    mask[1:20:2, 1:8] = True
+    return mask
+
+
+SPUR_MASKS = [width_one_t(), disk_with_diagonal_spur(), left_comb()]
+
+
 def assert_same_trace(mask):
+    trace = _trace_boundary(mask)
     try:
         expected = moore_trace(mask)
     except AssertionError:
-        # neither trace meets Jacob's criterion (some masks with width-1 parts)
-        with pytest.raises(cs.MaskError, match="did not terminate"):
-            _trace_boundary(mask)
+        # Jacob's criterion never closes the trace (the start pixel is the
+        # tip of a width-1 spur); the second stop must close it
+        assert_outer_boundary_walk(mask, trace)
     else:
-        assert _trace_boundary(mask) == expected
+        assert trace == expected
 
 
 class TestReadCsv:
@@ -369,6 +403,20 @@ class TestTraceBoundary:
     def test_random_masks(self, mask):
         if mask.any():
             assert_same_trace(mask)
+
+    @pytest.mark.parametrize("mask", SPUR_MASKS, ids=["t", "disk-spur", "comb"])
+    def test_spur_tip_start_closes_the_outer_boundary(self, mask):
+        with pytest.raises(AssertionError, match="did not terminate"):
+            moore_trace(mask)
+        assert_outer_boundary_walk(mask, _trace_boundary(mask))
+
+    @pytest.mark.parametrize("mask", SPUR_MASKS, ids=["t", "disk-spur", "comb"])
+    def test_spur_masks_plot(self, mask, tmp_path):
+        write_pgm_p5(tmp_path / "m.pgm", mask.astype(np.uint8) * 255)
+        (tmp_path / "m.manifest").write_text("k 8\ncontour m m.pgm\n")
+        args = ["plot", "--manifest", str(tmp_path / "m.manifest"), "--out", str(tmp_path)]
+        assert main(args) == 0
+        assert (tmp_path / "contours.svg").exists()
 
 
 class TestManifest:

@@ -1,14 +1,26 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import contourstat as cs
 from support import (
     centered_basis,
+    dense_extrinsic_mean,
+    draw_tangent_gaussian,
     embed,
+    explicit_mean_matrix,
+    fused_studentized_variance,
     frame_matrices,
     hs_inner_real,
+    model_base,
+    project_to_manifold,
     random_preshape,
+    spectral_gap_coefficients,
+    tangent_coordinates,
     tangent_coordinates_oracle,
+    vw_embed,
+    wobbly_contour,
     wobbly_points,
 )
 
@@ -56,7 +68,7 @@ class TestVWEmbed:
         rng = np.random.default_rng(2)
         for _ in range(100):
             g = random_preshape(6, rng)
-            m = cs.vw_embed(g).entries
+            m = vw_embed(g).entries
             evals = np.linalg.eigvalsh(m)
             assert evals[-2] < 1e-10  # second largest eigenvalue
             assert np.trace(m).real == pytest.approx(1.0, abs=1e-12)
@@ -67,7 +79,7 @@ class TestVWEmbed:
         g = random_preshape(8, rng)
         for theta in (0.3, 1.2, -2.7):
             rotated = cs.Preshape(g.coords * np.exp(1j * theta))
-            assert np.max(np.abs(cs.vw_embed(rotated).entries - cs.vw_embed(g).entries)) < 1e-14
+            assert np.max(np.abs(vw_embed(rotated).entries - vw_embed(g).entries)) < 1e-14
 
 
 class TestChordDistance:
@@ -179,7 +191,7 @@ class TestMeanMatrix:
 class TestEigensystem:
     def test_projector_spectrum(self):
         g = random_preshape(6, np.random.default_rng(18))
-        es = cs.eigensystem(cs.vw_embed(g))
+        es = cs.eigensystem(vw_embed(g))
         assert es.eigenvalues[0] == pytest.approx(1.0, abs=1e-12)
         assert np.max(np.abs(es.eigenvalues[1:])) < 1e-12
         top = es.eigenvectors[:, 0]
@@ -214,6 +226,17 @@ class TestEigensystem:
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):
             cs.eigensystem(bad)
+
+    def test_rank_r_system(self):
+        # r <= k orthonormal columns; eigenvalues not listed are zero
+        vecs = np.eye(5, dtype=complex)
+        es = cs.EigenSystem(np.array([0.7, 0.3]), vecs[:, :2])
+        assert es.dimension == 5
+        assert es.gap == pytest.approx(0.4)
+        assert cs.EigenSystem(np.array([1.0]), vecs[:, :1]).gap == 1.0
+        for w, v in (([1.0, 0.0], vecs[:, :1]), ([], vecs[:, :0]), ([0.2] * 6, np.ones((5, 6)))):
+            with pytest.raises(ValueError, match="inconsistent shapes"):
+                cs.EigenSystem(np.array(w), v)
 
 
 class TestExtrinsicMean:
@@ -261,15 +284,100 @@ class TestExtrinsicMean:
             assert cs.chord_distance(mean1, mean2) < 1e-9
 
 
+def tangent_sample(k, n, distinct, tau, seed):
+    """n tangent-Gaussian shapes cycling through ``distinct`` draws, so rank <= distinct."""
+    base = model_base(k)
+    shapes = draw_tangent_gaussian(
+        base, centered_basis(base), tau, distinct, np.random.default_rng(seed)
+    )
+    return [shapes[i % distinct] for i in range(n)]
+
+
+def assert_matches_explicit(sample, m0):
+    """The rank-n eigensystem of n < k shapes against explicit k x k arithmetic.
+
+    Checks the mean, the top two eigenvalues and, for n >= 2, s_n^2 against
+    the term-by-term oracle.
+    """
+    gam = np.stack([s.coords for s in sample])
+    n, k = gam.shape
+    lam, V = np.linalg.eigh(explicit_mean_matrix(gam))
+    lam, V = lam[::-1], V[:, ::-1]
+    mean, es = cs.extrinsic_mean(sample)
+    assert es.eigenvectors.shape == (k, n)
+    assert es.dimension == k
+    leads = es.eigenvectors[np.argmax(np.abs(es.eigenvectors), axis=0), np.arange(n)]
+    assert np.all(leads.real > 0) and np.max(np.abs(leads.imag)) < 1e-12
+    assert cs.chord_distance(mean, cs.preshape(V[:, 0])) < 1e-12
+    top_two = np.append(es.eigenvalues, 0.0)[:2]
+    assert np.max(np.abs(top_two - lam[:2])) < 1e-12
+    assert es.gap == pytest.approx(lam[0] - lam[1], abs=1e-12)
+    if n >= 2:
+        cov = cs.extrinsic_covariance(sample, es)
+        got = cs.studentizing_variance(cs.tangent_offset(es, m0), cov)
+        want = fused_studentized_variance(gam, m0.coords)
+        assert got == pytest.approx(want, rel=1e-10, abs=1e-24)
+
+
+class TestThinSvdPath:
+    """extrinsic_mean of n < k shapes: a thin SVD of the sample, no k x k matrix."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.integers(3, 20),
+        data=st.data(),
+        tau=st.floats(0.02, 0.5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_explicit_kxk(self, k, data, tau, seed):
+        n = data.draw(st.integers(1, k - 1), label="n")
+        distinct = data.draw(st.integers(1, n), label="distinct")
+        sample = tangent_sample(k, n, distinct, tau, seed)
+        lam = np.linalg.eigvalsh(explicit_mean_matrix(np.stack([s.coords for s in sample])))
+        assume(lam[-1] - lam[-2] > 1e-6 * lam[-1])  # away from the focal boundary
+        assert_matches_explicit(sample, random_preshape(k, np.random.default_rng(seed)))
+
+    @pytest.mark.parametrize(
+        "k, n, distinct",
+        [(5, 1, 1), (12, 11, 11), (10, 7, 3), (10, 6, 1)],
+        ids=["n=1", "n=k-1", "rank<n", "identical"],
+    )
+    def test_regimes(self, k, n, distinct):
+        sample = tangent_sample(k, n, distinct, 0.2, seed=40 + n)
+        assert_matches_explicit(sample, random_preshape(k, np.random.default_rng(41)))
+
+    def test_union_of_times_sample(self):
+        curves = [
+            cs.canonicalize(wobbly_contour(200, amp3=0.2 + 0.02 * i, phase=0.1 * i))
+            for i in range(5)
+        ]
+        times = cs.build_correspondence(curves, "union-of-times", 25, np.random.default_rng(42))
+        assert times.k > 100
+        sample = [cs.preshape(cs.evaluate(c, times)) for c in curves]
+        m0 = cs.preshape(cs.evaluate(cs.canonicalize(wobbly_contour(150, amp3=0.3)), times))
+        assert_matches_explicit(sample, m0)
+
+    def test_near_focal_pair_raises(self):
+        # |<a, b>| = 1e-10 puts the relative gap of M at ~2e-10, below gap_tol
+        a, b = orthogonal_pair(9, np.random.default_rng(43))
+        near = cs.preshape(b.coords + 1e-10 * a.coords)
+        lam = np.linalg.eigvalsh(explicit_mean_matrix(np.stack([a.coords, near.coords])))
+        assert 0 < (lam[-1] - lam[-2]) / lam[-1] < cs.DEFAULT_GAP_TOL
+        with pytest.raises(cs.FocalDistributionError):
+            dense_extrinsic_mean([a, near])
+        with pytest.raises(cs.FocalDistributionError):
+            cs.extrinsic_mean([a, near])
+
+
 class TestProjectToManifold:
     def test_projection_fixes_embedded_points(self):
         g = random_preshape(6, np.random.default_rng(26))
-        j = cs.vw_embed(g)
-        p = cs.project_to_manifold(j)
+        j = vw_embed(g)
+        p = project_to_manifold(j)
         assert np.max(np.abs(p.entries - j.entries)) < 1e-12
 
     def test_diagonal_example(self):
-        p = cs.project_to_manifold(np.diag([0.6, 0.4]).astype(complex))
+        p = project_to_manifold(np.diag([0.6, 0.4]).astype(complex))
         assert np.allclose(p.entries, np.diag([1.0, 0.0]), atol=1e-12)
 
     def test_invariants_on_random_psd(self):
@@ -279,7 +387,7 @@ class TestProjectToManifold:
             x = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
             a = x @ x.conj().T
             try:
-                p = cs.project_to_manifold(a).entries
+                p = project_to_manifold(a).entries
             except cs.FocalDistributionError:
                 continue
             assert np.max(np.abs(p @ p - p)) < 1e-10
@@ -288,7 +396,7 @@ class TestProjectToManifold:
 
     def test_focal_input_rejected(self):
         with pytest.raises(cs.FocalDistributionError):
-            cs.project_to_manifold(np.diag([0.5, 0.5]).astype(complex))
+            project_to_manifold(np.diag([0.5, 0.5]).astype(complex))
 
 
 class TestTangentCoordinates:
@@ -300,14 +408,14 @@ class TestTangentCoordinates:
 
     def test_zero_matrix(self):
         _, es = self.eigen_from_sample(5, 8, 28)
-        assert np.all(cs.tangent_coordinates(np.zeros((5, 5), dtype=complex), es) == 0)
+        assert np.all(tangent_coordinates(np.zeros((5, 5), dtype=complex), es) == 0)
 
     def test_frame_elements_give_unit_coefficients(self):
         _, es = self.eigen_from_sample(5, 8, 29)
         for a in range(1, 5):
             F, G = frame_matrices(es.eigenvectors, a)
-            cf = cs.tangent_coordinates(F, es)
-            cg = cs.tangent_coordinates(G, es)
+            cf = tangent_coordinates(F, es)
+            cg = tangent_coordinates(G, es)
             expect_f = np.zeros(4, dtype=complex)
             expect_f[a - 1] = 1.0
             assert np.allclose(cf, expect_f, atol=1e-12)
@@ -319,14 +427,14 @@ class TestTangentCoordinates:
         for _ in range(25):
             m0 = random_preshape(6, rng)
             v = embed(m0.coords) - embed(mean.coords)
-            got = cs.tangent_coordinates(v, es)
+            got = tangent_coordinates(v, es)
             want = tangent_coordinates_oracle(v, es.eigenvectors)
             assert np.max(np.abs(got - want)) < 1e-10
 
     def test_dimension_mismatch(self):
         _, es = self.eigen_from_sample(5, 8, 32)
         with pytest.raises(ValueError):
-            cs.tangent_coordinates(np.zeros((6, 6), dtype=complex), es)
+            tangent_coordinates(np.zeros((6, 6), dtype=complex), es)
 
 
 class TestExtrinsicCovariance:
@@ -358,9 +466,9 @@ class TestExtrinsicCovariance:
         _, es = cs.extrinsic_mean(sample)
         cov = cs.extrinsic_covariance(sample, es).entries
         lam, V = es.eigenvalues, es.eigenvectors
-        n, k = 3, 4
-        for a in range(1, k):
-            for b in range(1, k):
+        n, r = 3, len(lam)
+        for a in range(1, r):
+            for b in range(1, r):
                 acc = 0.0 + 0.0j
                 for s in sample:
                     g = s.coords
@@ -382,19 +490,19 @@ class TestExtrinsicCovariance:
 class TestSpectralGapCoefficients:
     def test_arithmetic(self):
         es = cs.eigensystem(np.diag([0.9, 0.05, 0.05]).astype(complex))
-        assert np.allclose(cs.spectral_gap_coefficients(es), [1 / 0.85, 1 / 0.85])
+        assert np.allclose(spectral_gap_coefficients(es), [1 / 0.85, 1 / 0.85])
 
     def test_point_mass_all_ones(self):
         g = random_preshape(5, np.random.default_rng(38))
-        es = cs.eigensystem(cs.vw_embed(g))
-        assert np.allclose(cs.spectral_gap_coefficients(es), np.ones(4), atol=1e-10)
+        es = cs.eigensystem(vw_embed(g))
+        assert np.allclose(spectral_gap_coefficients(es), np.ones(4), atol=1e-10)
 
     def test_positive_and_monotone(self):
         # descending eigenvalues mean growing gaps, so the reciprocals shrink
         rng = np.random.default_rng(39)
         sample = [random_preshape(7, rng) for _ in range(15)]
         _, es = cs.extrinsic_mean(sample)
-        coeffs = cs.spectral_gap_coefficients(es)
+        coeffs = spectral_gap_coefficients(es)
         assert np.all(coeffs > 0)
         assert np.all(np.diff(coeffs) <= 1e-15)
 
