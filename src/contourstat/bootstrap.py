@@ -8,8 +8,11 @@ sample mean.  Resamples use independent substreams keyed by (seed, index),
 so the result is a pure function of the sample and the seed.
 
 Every mean, the full sample's and each resample's, comes from
-:func:`~contourstat.shape_space.extrinsic_mean`, which forms no k x k matrix
-when the sample has fewer shapes than landmarks (n < k).
+:func:`~contourstat.shape_space.extrinsic_mean`, a thin SVD of the sample.
+Every resampled mean matrix lives in the span of the n sample preshapes, so
+when n + 1 < k the sample is written once in an orthonormal basis of
+span{1, gamma_1..gamma_n}: each resample then costs an SVD of an (n + 1) x n
+matrix instead of a k x n one, and its mean is lifted back to C^k.
 """
 
 from __future__ import annotations
@@ -110,7 +113,10 @@ def bootstrap_region(
     """Bootstrap confidence region for the extrinsic mean shape.
 
     Deterministic given ``seed``: resample i always uses the substream keyed
-    by (seed, i).  ``threads`` is deprecated and ignored.
+    by (seed, i).  The resamples run on the sample's span coordinates (see
+    the module docstring), which give the same means, spectral gaps and
+    focal retries as the k x k problem up to roundoff.  ``threads`` is
+    deprecated and ignored.
     """
     if len(sample) < 2:
         raise ValueError(f"need at least 2 shapes, got {len(sample)}")
@@ -125,7 +131,10 @@ def bootstrap_region(
             stacklevel=2,
         )
     mean, _ = extrinsic_mean(sample, gap_tol)
-    boot = [resample_mean(sample, _substream(seed, i), gap_tol) for i in range(B)]
+    basis, reduced = _span_coordinates(sample)
+    boot = [resample_mean(reduced, _substream(seed, i), gap_tol) for i in range(B)]
+    if basis is not None:
+        boot = [Preshape(basis @ b.coords) for b in boot]
     dist = np.array([chord_distance(b, mean) for b in boot])
     radius = float(np.sort(dist)[_quantile_index(alpha, B) - 1])
     return BootstrapRegion(
@@ -136,6 +145,31 @@ def bootstrap_region(
         alpha=alpha,
         included=dist <= radius,
     )
+
+
+def _span_coordinates(
+    sample: Sequence[Preshape],
+) -> tuple[np.ndarray | None, Sequence[Preshape]]:
+    """The sample in an orthonormal k x (n + 1) basis of span{1, gamma_1..gamma_n}.
+
+    The basis maps the constant vector of C^(n+1) onto that of C^k, so it
+    carries centered vectors to centered vectors in both directions: the
+    coordinates are preshapes, and ``basis @ x`` lifts a mean back.  When
+    n + 1 >= k there is nothing to gain, and ``(None, sample)`` is returned.
+    """
+    n, k = len(sample), sample[0].dimension
+    if n + 1 >= k:
+        return None, sample
+    gam = np.stack([s.coords for s in sample])
+    ones = np.full((k, 1), 1.0 / math.sqrt(k))
+    q, _ = np.linalg.qr(np.hstack((ones, gam.T)))
+    q[:, 0] = ones[:, 0]  # QR leaves the sign of the first column to chance
+    # Householder reflection swapping e_1 and the unit constant vector of C^d
+    d = n + 1
+    v = np.full(d, 1.0 / math.sqrt(d))
+    v[0] -= 1.0
+    basis = q @ (np.eye(d) - 2.0 * np.outer(v, v) / (v @ v))
+    return basis, [Preshape(c) for c in gam @ basis.conj()]
 
 
 def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:

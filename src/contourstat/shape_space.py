@@ -9,14 +9,14 @@ Hilbert-Schmidt space; the induced chord distance and the resulting extrinsic
 (Frechet) mean have closed forms driven by one Hermitian eigendecomposition
 of the averaged embedded matrix M = (1/n) sum gamma_i gamma_i^H.
 
-M has rank at most n.  When the sample has fewer shapes than landmarks
-(n < k), its eigensystem comes from one thin SVD of the n stacked preshapes,
-O(k n^2), and M is never formed (the dual form of Kent 1994, *The complex
-Bingham distribution and shape analysis*); the k x k matrix is formed and
-eigendecomposed only when n >= k.  Distances, covariances and tangent
-coordinates are computed through inner-product shortcuts on the returned
-eigenvectors, which are validated against explicit Hilbert-Schmidt
-arithmetic in the test suite.
+M has rank at most n.  :func:`extrinsic_mean` takes its eigensystem from one
+thin SVD of the n stacked preshapes, O(k n min(k, n)), and never forms M;
+with fewer shapes than landmarks (n < k) this is the dual form of Kent 1994,
+*The complex Bingham distribution and shape analysis*.  :func:`mean_matrix`
+and :func:`eigensystem` are the explicit k x k forms, for matrices a caller
+supplies.  Distances, covariances and tangent coordinates are computed
+through inner-product shortcuts on the returned eigenvectors, which are
+validated against explicit Hilbert-Schmidt arithmetic in the test suite.
 """
 
 from __future__ import annotations
@@ -272,19 +272,18 @@ def extrinsic_mean(
     """Extrinsic (VW) mean shape of a sample, with the mean matrix's eigensystem.
 
     The mean is the projective point of the top eigenvector of the averaged
-    embedded matrix M.  For n < k shapes the eigensystem is that of M on its
-    range, rank n: with Gamma^T / sqrt(n) = U S W^H (thin SVD, the sample in
-    the rows of Gamma), M = U S^2 U^H.  Otherwise it is the full k x k
-    eigensystem of M.  Raises :class:`FocalDistributionError` when the top
-    eigenvalue is not simple relative to ``gap_tol``, in which case no unique
-    minimizer of the Frechet function exists.
+    embedded matrix M.  With Gamma^T / sqrt(n) = U S W^H (thin SVD, the
+    sample in the rows of Gamma), M = U S^2 U^H: the eigensystem has
+    r = min(n, k) pairs, all of M when n >= k and M on its range when n < k,
+    and M itself is never formed.  Raises :class:`FocalDistributionError`
+    when the top eigenvalue is not simple relative to ``gap_tol``, in which
+    case no unique minimizer of the Frechet function exists.
     """
     n = len(sample)
-    if 0 < n < sample[0].dimension:
-        u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
-        es = EigenSystem(s**2, _phase(u))
-    else:
-        es = eigensystem(mean_matrix(sample))
+    if n == 0:
+        raise ValueError("empty sample")
+    u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
+    es = EigenSystem(s**2, _phase(u))
     _require_gap(es, gap_tol)
     # re-center and renormalize defensively; the top eigenvector is already
     # centered up to eigensolver roundoff because every gamma_i is

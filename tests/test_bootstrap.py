@@ -217,6 +217,20 @@ class TestSpanPath:
             assert cs.chord_distance(boot_mean, dense_mean) < 1e-12
         assert max(len(draws) for draws in span_draws.values()) > 1
 
+    @pytest.mark.parametrize("n, k, dim", [(8, 40, 9), (8, 9, 9), (8, 6, 6)])
+    def test_resamples_run_in_span_coordinates(self, monkeypatch, n, k, dim):
+        # a resample costs an SVD of (n + 1) x n, not k x n, once n + 1 < k
+        sample = model_sample(n, seed=27, k=k)
+        dims = []
+
+        def recording_mean(resample, gap_tol):
+            dims.append(resample[0].dimension)
+            return cs.extrinsic_mean(resample, gap_tol)
+
+        monkeypatch.setattr(bootstrap_module, "extrinsic_mean", recording_mean)
+        cs.bootstrap_region(sample, B=50, alpha=0.05, seed=28)
+        assert dims[0] == k and set(dims[1:]) == {dim}
+
     def test_threads_keyword_is_deprecated(self):
         sample = model_sample(6, seed=26)
         with pytest.warns(DeprecationWarning, match="threads"):

@@ -216,19 +216,20 @@ class TestWorkDoneOncePerCommand:
 
 
 def refuse_dense(*args):
-    raise AssertionError("k x k mean matrix formed for a sample of n < k shapes")
+    raise AssertionError("a command formed the k x k mean matrix")
 
 
-class TestFewerShapesThanLandmarks:
-    """n < k: every command gets its eigensystem from the thin SVD of the sample."""
+class TestSpectralPath:
+    """Every command gets its eigensystem from the thin SVD of the sample."""
 
-    def test_no_dense_matrix_in_any_command(self, sample_dir, monkeypatch, capsys):
-        tmp_path, man = sample_dir  # n = 8 < k = 40
+    @pytest.mark.parametrize("k", [40, 6], ids=["n<k", "n>k"])
+    def test_no_dense_matrix_in_any_command(self, sample_dir, monkeypatch, capsys, k):
+        tmp_path, man = sample_dir  # n = 8
         hyp = tmp_path / "hyp.csv"
         cs.write_contour(cs.Contour(wobbly_points(100, amp3=0.32)), hyp)
         monkeypatch.setattr(shape_space, "mean_matrix", refuse_dense)
         monkeypatch.setattr(shape_space, "eigensystem", refuse_dense)
-        common = ["--manifest", str(man), "--out", str(tmp_path / "out")]
+        common = ["--manifest", str(man), "--out", str(tmp_path / "out"), "--k", str(k)]
         for extra in (
             ["mean"],
             ["test", "--m0", str(hyp), "--delta", "0.05"],

@@ -294,19 +294,20 @@ def tangent_sample(k, n, distinct, tau, seed):
 
 
 def assert_matches_explicit(sample, m0):
-    """The rank-n eigensystem of n < k shapes against explicit k x k arithmetic.
+    """The rank-min(n, k) eigensystem of n shapes against explicit k x k arithmetic.
 
     Checks the mean, the top two eigenvalues and, for n >= 2, s_n^2 against
     the term-by-term oracle.
     """
     gam = np.stack([s.coords for s in sample])
     n, k = gam.shape
+    r = min(n, k)
     lam, V = np.linalg.eigh(explicit_mean_matrix(gam))
     lam, V = lam[::-1], V[:, ::-1]
     mean, es = cs.extrinsic_mean(sample)
-    assert es.eigenvectors.shape == (k, n)
+    assert es.eigenvectors.shape == (k, r)
     assert es.dimension == k
-    leads = es.eigenvectors[np.argmax(np.abs(es.eigenvectors), axis=0), np.arange(n)]
+    leads = es.eigenvectors[np.argmax(np.abs(es.eigenvectors), axis=0), np.arange(r)]
     assert np.all(leads.real > 0) and np.max(np.abs(leads.imag)) < 1e-12
     assert cs.chord_distance(mean, cs.preshape(V[:, 0])) < 1e-12
     top_two = np.append(es.eigenvalues, 0.0)[:2]
@@ -320,7 +321,7 @@ def assert_matches_explicit(sample, m0):
 
 
 class TestThinSvdPath:
-    """extrinsic_mean of n < k shapes: a thin SVD of the sample, no k x k matrix."""
+    """extrinsic_mean: a thin SVD of the sample, no k x k matrix, for n < k and n >= k."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -330,7 +331,7 @@ class TestThinSvdPath:
         seed=st.integers(0, 2**32 - 1),
     )
     def test_matches_explicit_kxk(self, k, data, tau, seed):
-        n = data.draw(st.integers(1, k - 1), label="n")
+        n = data.draw(st.integers(1, k + 5), label="n")
         distinct = data.draw(st.integers(1, n), label="distinct")
         sample = tangent_sample(k, n, distinct, tau, seed)
         lam = np.linalg.eigvalsh(explicit_mean_matrix(np.stack([s.coords for s in sample])))
@@ -339,8 +340,8 @@ class TestThinSvdPath:
 
     @pytest.mark.parametrize(
         "k, n, distinct",
-        [(5, 1, 1), (12, 11, 11), (10, 7, 3), (10, 6, 1)],
-        ids=["n=1", "n=k-1", "rank<n", "identical"],
+        [(5, 1, 1), (12, 11, 11), (10, 7, 3), (10, 6, 1), (8, 8, 8), (6, 16, 16), (6, 16, 4)],
+        ids=["n=1", "n=k-1", "rank<n", "identical", "n=k", "n>k", "n>k,rank<k"],
     )
     def test_regimes(self, k, n, distinct):
         sample = tangent_sample(k, n, distinct, 0.2, seed=40 + n)
