@@ -19,19 +19,20 @@ from __future__ import annotations
 
 import logging
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .contour import _freeze
+from .contour import _freeze, _substream
 from .errors import FocalDistributionError
-from .shape_space import DEFAULT_GAP_TOL, Preshape, chord_distance, extrinsic_mean
+from .shape_space import Preshape, chord_distance, extrinsic_mean
 
 __all__ = ["BootstrapRegion", "resample_mean", "bootstrap_region", "align_rotation"]
 
 logger = logging.getLogger(__name__)
+
+_MAX_RETRIES = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,51 +73,36 @@ def _quantile_index(alpha: float, b: int) -> int:
     return int(math.ceil((1.0 - alpha) * b - 1e-9))
 
 
-def _substream(seed: int, *key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
-
-
-def resample_mean(
-    sample: Sequence[Preshape],
-    rng: np.random.Generator,
-    gap_tol: float = DEFAULT_GAP_TOL,
-    max_retries: int = 100,
-) -> Preshape:
+def resample_mean(sample: Sequence[Preshape], rng: np.random.Generator) -> Preshape:
     """Extrinsic mean of one bootstrap resample (n draws with replacement).
 
     A degenerate resample whose mean matrix has a focal spectrum is retried
-    with the next draws from ``rng``; after ``max_retries`` failures the
-    focal error is logged and re-raised.
+    with the next draws from ``rng``; after 100 retries the focal error is
+    logged and re-raised.
     """
     n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
-    for attempt in range(max_retries + 1):
+    for attempt in range(_MAX_RETRIES + 1):
         idx = rng.integers(0, n, size=n)
         try:
-            return extrinsic_mean([sample[i] for i in idx], gap_tol)[0]
+            return extrinsic_mean([sample[i] for i in idx])[0]
         except FocalDistributionError as err:
             last = err
             logger.debug("focal resample on attempt %d: %s", attempt + 1, err)
-    logger.error("resample_mean gave up after %d retries: %s", max_retries, last)
+    logger.error("resample_mean gave up after %d retries: %s", _MAX_RETRIES, last)
     raise last
 
 
 def bootstrap_region(
-    sample: Sequence[Preshape],
-    B: int = 400,
-    alpha: float = 0.05,
-    seed: int = 0,
-    threads: int | None = None,
-    gap_tol: float = DEFAULT_GAP_TOL,
+    sample: Sequence[Preshape], B: int = 400, alpha: float = 0.05, seed: int = 0
 ) -> BootstrapRegion:
     """Bootstrap confidence region for the extrinsic mean shape.
 
     Deterministic given ``seed``: resample i always uses the substream keyed
     by (seed, i).  The resamples run on the sample's span coordinates (see
     the module docstring), which give the same means, spectral gaps and
-    focal retries as the k x k problem up to roundoff.  ``threads`` is
-    deprecated and ignored.
+    focal retries as the k x k problem up to roundoff.
     """
     if len(sample) < 2:
         raise ValueError(f"need at least 2 shapes, got {len(sample)}")
@@ -124,15 +110,9 @@ def bootstrap_region(
         raise ValueError(f"need B >= 50 resamples, got {B}")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    if threads is not None:
-        warnings.warn(
-            "bootstrap_region(threads=...) is deprecated and ignored",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    mean, _ = extrinsic_mean(sample, gap_tol)
+    mean, _ = extrinsic_mean(sample)
     basis, reduced = _span_coordinates(sample)
-    boot = [resample_mean(reduced, _substream(seed, i), gap_tol) for i in range(B)]
+    boot = [resample_mean(reduced, _substream(seed, i)) for i in range(B)]
     if basis is not None:
         boot = [Preshape(basis @ b.coords) for b in boot]
     dist = np.array([chord_distance(b, mean) for b in boot])

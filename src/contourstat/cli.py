@@ -32,14 +32,22 @@ from .contour import (
     _interpolate,
     _require_polygons,
     _signed_area,
+    _substream,
     canonicalize,
     evaluate,
     select_stopping_times,
 )
 from .errors import ContourStatError, DegenerateContourError
 from .inference import TestConfig, _radius_at_level, _studentized_core, neighborhood_test
-from .ingestion import SampleManifest, load_sample, parse_manifest, read_contour, write_contour
-from .shape_space import DEFAULT_GAP_TOL, _chord, _preshape_rows, extrinsic_mean, preshape
+from .ingestion import (
+    SampleManifest,
+    _read_curves,
+    load_sample,
+    parse_manifest,
+    read_contour,
+    write_contour,
+)
+from .shape_space import _chord, _preshape_rows, extrinsic_mean, preshape
 from .svg import PathStyle, svg_render
 
 # Not called here, but kept importable from this module: the benchmark's
@@ -195,14 +203,12 @@ def cmd_approx(config: RunConfig) -> None:
     repeats of one contour and k are then evaluated together.
     """
     manifest = config.manifest
-    curves = [canonicalize(read_contour(path)) for _, path in manifest.entries]
+    curves = _read_curves(manifest)
     rows = []
     for ki, k in enumerate(config.k_grid):
         times = [[] for _ in curves]
         for rep in range(config.repeats):
-            rng = np.random.default_rng(
-                np.random.SeedSequence(entropy=manifest.seed, spawn_key=(ki, rep))
-            )
+            rng = _substream(manifest.seed, ki, rep)
             for curve_times, curve in zip(times, curves):
                 if k == len(curve):
                     curve_times.append(curve.cum_lengths[:-1] / curve.total_length)
@@ -284,10 +290,13 @@ def _hypothesis_shape(config: RunConfig, times: StoppingTimes):
     mean_shape.csv written by `contourstat mean`; any other contour is
     canonicalized and evaluated at the sample's stopping times.
     """
-    m0_contour = read_contour(config.m0)
-    if len(m0_contour) == times.k:
-        return preshape(m0_contour)
-    return preshape(evaluate(canonicalize(m0_contour), times))
+    try:
+        m0_contour = read_contour(config.m0)
+        if len(m0_contour) == times.k:
+            return preshape(m0_contour)
+        return preshape(evaluate(canonicalize(m0_contour), times))
+    except ContourStatError as err:
+        raise ContourStatError(f"--m0 {config.m0}: {err}") from err
 
 
 def _load_two_or_more(config: RunConfig):
@@ -315,7 +324,7 @@ def cmd_test(config: RunConfig) -> None:
         print(f"critical_delta  {result.critical_radius:.10g}")
         print(f"decision        {'reject' if result.reject else 'fail-to-reject'}")
     else:
-        phi, s, n = _studentized_core(shapes, m0, DEFAULT_GAP_TOL)
+        phi, s, n = _studentized_core(shapes, m0)
         print(f"phi             {phi:.10g}")
         print(f"s_n             {s:.10g}")
         print(f"critical_delta  {_radius_at_level(phi, s, n, config.alpha):.10g}")

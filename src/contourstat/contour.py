@@ -210,6 +210,10 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     return ParamCurve.from_vertices(rolled)
 
 
+def _substream(seed: int, *key: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
+
+
 def select_stopping_times(k: int, rng: np.random.Generator) -> StoppingTimes:
     """Draw k sorted stopping times: a pinned 0 plus k-1 Uniform[0,1) draws."""
     if k < 3:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import DegenerateVarianceError
 from .shape_space import (
-    DEFAULT_GAP_TOL,
     EigenSystem,
     ExtrinsicCovariance,
     Preshape,
@@ -112,27 +111,20 @@ def studentizing_variance(offset: np.ndarray, cov: ExtrinsicCovariance) -> float
     return max(0.0, float(q.real))
 
 
-def _studentized_core(
-    sample: Sequence[Preshape], m0: Preshape, gap_tol: float
-) -> tuple[float, float, int]:
+def _studentized_core(sample: Sequence[Preshape], m0: Preshape) -> tuple[float, float, int]:
     """Shared pipeline: returns (phi, s_n, n)."""
     n = len(sample)
     if n < 2:
         raise ValueError(f"need at least 2 shapes, got {n}")
-    mean, eigen = extrinsic_mean(sample, gap_tol)
+    mean, eigen = extrinsic_mean(sample)
     phi = squared_shape_distance(mean, m0)
-    cov = extrinsic_covariance(sample, eigen, gap_tol)
+    cov = extrinsic_covariance(sample, eigen)
     offset = tangent_offset(eigen, m0)
     s = math.sqrt(studentizing_variance(offset, cov))
     return phi, s, n
 
 
-def neighborhood_test(
-    sample: Sequence[Preshape],
-    m0: Preshape,
-    config: TestConfig,
-    gap_tol: float = DEFAULT_GAP_TOL,
-) -> TestResult:
+def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConfig) -> TestResult:
     """Test whether the population mean shape lies within ``config.radius`` of m0.
 
     Raises :class:`FocalDistributionError` when the extrinsic mean is
@@ -140,7 +132,7 @@ def neighborhood_test(
     variance vanishes (m0 coincides with the sample mean, or the sample is
     concentrated at a single shape), since the statistic cannot be formed.
     """
-    phi, s, n = _studentized_core(sample, m0, gap_tol)
+    phi, s, n = _studentized_core(sample, m0)
     # chord distances are bounded by sqrt(2), so s_n is an O(1)-scale quantity;
     # anything this small is roundoff, not variance
     if s < 1e-12:
@@ -166,12 +158,7 @@ def neighborhood_test(
     )
 
 
-def critical_radius(
-    sample: Sequence[Preshape],
-    m0: Preshape,
-    alpha: float = 0.05,
-    gap_tol: float = DEFAULT_GAP_TOL,
-) -> float:
+def critical_radius(sample: Sequence[Preshape], m0: Preshape, alpha: float = 0.05) -> float:
     """Largest neighborhood radius at which the null is rejected at level alpha.
 
     Solves T_n = xi_{1-alpha} for the radius: the squared solution is
@@ -181,7 +168,7 @@ def critical_radius(
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    phi, s, n = _studentized_core(sample, m0, gap_tol)
+    phi, s, n = _studentized_core(sample, m0)
     return _radius_at_level(phi, s, n, alpha)
 
 

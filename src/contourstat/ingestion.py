@@ -38,8 +38,10 @@ import numpy as np
 
 from .contour import (
     Contour,
+    ParamCurve,
     StoppingTimes,
     _signed_area,
+    _substream,
     build_correspondence,
     canonicalize,
     evaluate,
@@ -60,20 +62,10 @@ __all__ = [
 MERGE_TOL = 1e-12
 
 
-def read_contour(path, format: str | None = None) -> Contour:
-    """Read a contour from a CSV point list or a PGM mask.
-
-    ``format`` is ``"csv"`` or ``"mask"``; when omitted it is inferred from
-    the file extension (``.pgm`` means mask).
-    """
+def read_contour(path) -> Contour:
+    """Read a contour from a PGM mask (a ``.pgm`` suffix, any case) or else a CSV point list."""
     p = Path(path)
-    if format is None:
-        format = "mask" if p.suffix.lower() == ".pgm" else "csv"
-    if format == "csv":
-        return _read_csv(p)
-    if format == "mask":
-        return _read_mask(p)
-    raise ValueError(f"unknown contour format: {format!r}")
+    return _read_mask(p) if p.suffix.lower() == ".pgm" else _read_csv(p)
 
 
 def write_contour(contour: Contour, path) -> None:
@@ -427,13 +419,18 @@ def load_sample(manifest: SampleManifest) -> tuple[list[Preshape], StoppingTimes
     returned preshapes share a dimension and a vertex correspondence.  Any
     per-file failure aborts with the offending entry id.
     """
+    curves = _read_curves(manifest)
+    times = build_correspondence(curves, manifest.strategy, manifest.k, _substream(manifest.seed))
+    shapes = [preshape(evaluate(curve, times)) for curve in curves]
+    return shapes, times
+
+
+def _read_curves(manifest: SampleManifest) -> list[ParamCurve]:
+    """Read and canonicalize every manifest contour; a failure names its entry id."""
     curves = []
     for cid, cpath in manifest.entries:
         try:
             curves.append(canonicalize(read_contour(cpath)))
         except (ParseError, MaskError, DegenerateContourError) as err:
             raise ManifestError(f"entry '{cid}': {err}") from err
-    rng = np.random.default_rng(np.random.SeedSequence(manifest.seed))
-    times = build_correspondence(curves, manifest.strategy, manifest.k, rng)
-    shapes = [preshape(evaluate(curve, times)) for curve in curves]
-    return shapes, times
+    return curves

@@ -256,19 +256,17 @@ def _phase(v: np.ndarray) -> np.ndarray:
     return v * (np.abs(pivots) / pivots)
 
 
-def _require_gap(eigen: EigenSystem, gap_tol: float) -> None:
+def _require_gap(eigen: EigenSystem) -> None:
     top = eigen.eigenvalues[0]
-    if not top > 0.0 or eigen.gap / top < gap_tol:
+    if not top > 0.0 or eigen.gap / top < DEFAULT_GAP_TOL:
         raise FocalDistributionError(
             "top eigenvalue of the mean matrix is not simple "
-            f"(relative gap {0.0 if top <= 0 else eigen.gap / top:.3e} < {gap_tol:.1e}); "
-            "the extrinsic mean is not well defined for this sample"
+            f"(relative gap {0.0 if top <= 0 else eigen.gap / top:.3e} "
+            f"< {DEFAULT_GAP_TOL:.1e}); the extrinsic mean is not well defined for this sample"
         )
 
 
-def extrinsic_mean(
-    sample: Sequence[Preshape], gap_tol: float = DEFAULT_GAP_TOL
-) -> tuple[Preshape, EigenSystem]:
+def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     """Extrinsic (VW) mean shape of a sample, with the mean matrix's eigensystem.
 
     The mean is the projective point of the top eigenvector of the averaged
@@ -276,25 +274,21 @@ def extrinsic_mean(
     sample in the rows of Gamma), M = U S^2 U^H: the eigensystem has
     r = min(n, k) pairs, all of M when n >= k and M on its range when n < k,
     and M itself is never formed.  Raises :class:`FocalDistributionError`
-    when the top eigenvalue is not simple relative to ``gap_tol``, in which
-    case no unique minimizer of the Frechet function exists.
+    when the relative top spectral gap is below ``DEFAULT_GAP_TOL``, in
+    which case no unique minimizer of the Frechet function exists.
     """
     n = len(sample)
     if n == 0:
         raise ValueError("empty sample")
     u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
     es = EigenSystem(s**2, _phase(u))
-    _require_gap(es, gap_tol)
+    _require_gap(es)
     # re-center and renormalize defensively; the top eigenvector is already
     # centered up to eigensolver roundoff because every gamma_i is
     return preshape(es.eigenvectors[:, 0]), es
 
 
-def extrinsic_covariance(
-    sample: Sequence[Preshape],
-    eigen: EigenSystem,
-    gap_tol: float = DEFAULT_GAP_TOL,
-) -> ExtrinsicCovariance:
+def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> ExtrinsicCovariance:
     """Extrinsic sample covariance in the tangent coordinates at the mean.
 
     Entry (a, b), for a, b = 2..r over the r eigenpairs of ``eigen``, is
@@ -311,7 +305,7 @@ def extrinsic_covariance(
     n, k = gam.shape
     if k != eigen.dimension:
         raise ValueError(f"sample dimension {k} does not match eigensystem {eigen.dimension}")
-    _require_gap(eigen, gap_tol)
+    _require_gap(eigen)
     proj = gam @ eigen.eigenvectors.conj()  # proj[i, a] = <e_a, gamma_i>
     weighted = proj[:, 1:] * np.abs(proj[:, :1])
     gaps = eigen.eigenvalues[0] - eigen.eigenvalues[1:]

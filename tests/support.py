@@ -43,11 +43,15 @@ def draw_tangent_gaussian(base, frame, tau, n, rng):
     tau; the uniform independent phases make the population VW mean exactly
     [base] and the tangential pseudo-covariance zero.
     """
+    return [cs.Preshape(row) for row in tangent_gaussian_rows(base, frame, tau, n, rng)]
+
+
+def tangent_gaussian_rows(base, frame, tau, n, rng):
+    """The coordinates of :func:`draw_tangent_gaussian`, one preshape per row, unvalidated."""
     d = frame.shape[1]
     zeta = (rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))) / np.sqrt(2.0)
     raw = base[None, :] + tau * (zeta @ frame.T)
-    raw = raw / np.linalg.norm(raw, axis=1, keepdims=True)
-    return [cs.Preshape(row) for row in raw]
+    return raw / np.linalg.norm(raw, axis=1, keepdims=True)
 
 
 def model_base(k, seed=99):
@@ -64,7 +68,7 @@ def estimate_population_mean(base, frame, tau, ndraws, seed):
     left = ndraws
     while left > 0:
         take = min(100_000, left)
-        g = np.stack([p.coords for p in draw_tangent_gaussian(base, frame, tau, take, rng)])
+        g = tangent_gaussian_rows(base, frame, tau, take, rng)
         M += g.T @ g.conj()
         left -= take
     M /= ndraws

@@ -51,7 +51,7 @@ class TestResampleMean:
         out = cs.resample_mean([base, other], np.random.default_rng(5))
         assert min(cs.chord_distance(out, base), cs.chord_distance(out, other)) < 1e-10
 
-    def test_focal_hard_error_when_retries_exhausted(self):
+    def test_focal_hard_error_when_retries_exhausted(self, monkeypatch):
         base = random_preshape(5, np.random.default_rng(6))
         other = cs.Preshape(centered_basis(base.coords)[:, 0])
         # find a seed whose first draw is the balanced (focal) resample
@@ -60,8 +60,9 @@ class TestResampleMean:
             for s in range(1000)
             if sorted(np.random.default_rng(s).integers(0, 2, size=2)) == [0, 1]
         )
+        monkeypatch.setattr(bootstrap_module, "_MAX_RETRIES", 0)
         with pytest.raises(cs.FocalDistributionError):
-            cs.resample_mean([base, other], np.random.default_rng(seed), max_retries=0)
+            cs.resample_mean([base, other], np.random.default_rng(seed))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -99,15 +100,6 @@ class TestBootstrapRegion:
         b = cs.bootstrap_region(sample, B=60, alpha=0.05, seed=5)
         assert np.array_equal(a.distances, b.distances)
         assert a.radius == b.radius
-
-    def test_thread_count_does_not_change_result(self):
-        sample = model_sample(12, seed=12)
-        serial = cs.bootstrap_region(sample, B=64, alpha=0.05, seed=6, threads=1)
-        threaded = cs.bootstrap_region(sample, B=64, alpha=0.05, seed=6, threads=4)
-        assert np.array_equal(serial.distances, threaded.distances)
-        assert serial.radius == threaded.radius
-        for x, y in zip(serial.boot_means, threaded.boot_means):
-            assert np.array_equal(x.coords, y.coords)
 
     def test_phase_invariance_of_distances(self):
         sample = model_sample(10, seed=13)
@@ -223,18 +215,13 @@ class TestSpanPath:
         sample = model_sample(n, seed=27, k=k)
         dims = []
 
-        def recording_mean(resample, gap_tol):
+        def recording_mean(resample):
             dims.append(resample[0].dimension)
-            return cs.extrinsic_mean(resample, gap_tol)
+            return cs.extrinsic_mean(resample)
 
         monkeypatch.setattr(bootstrap_module, "extrinsic_mean", recording_mean)
         cs.bootstrap_region(sample, B=50, alpha=0.05, seed=28)
         assert dims[0] == k and set(dims[1:]) == {dim}
-
-    def test_threads_keyword_is_deprecated(self):
-        sample = model_sample(6, seed=26)
-        with pytest.warns(DeprecationWarning, match="threads"):
-            cs.bootstrap_region(sample, B=50, alpha=0.05, seed=0, threads=2)
 
 
 class TestAlignRotation:

@@ -177,6 +177,30 @@ class TestOneContourManifest:
         assert main([command, "--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
 
 
+class TestFailuresNameTheirInput:
+    """A contour that cannot be canonicalized is named in the exit-2 message."""
+
+    ZERO_AREA = "contour has zero signed area; orientation undefined"
+
+    @pytest.mark.parametrize("command", ["approx", "mean", "plot"])
+    def test_manifest_entry_is_named(self, sample_dir, capsys, command):
+        tmp_path, man = sample_dir
+        cs.write_contour(cs.Contour(np.array([0, 1, 2 + 0j])), tmp_path / "flat.csv")
+        man.write_text(man.read_text() + "contour flat flat.csv\n")
+        code = main([command, "--manifest", str(man), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: entry 'flat': {self.ZERO_AREA}\n"
+
+    @pytest.mark.parametrize("mode", [["--delta", "0.1"], ["--solve-delta"]])
+    def test_m0_path_is_named(self, sample_dir, capsys, mode):
+        tmp_path, man = sample_dir
+        hyp = tmp_path / "collinear.csv"
+        cs.write_contour(cs.Contour(np.arange(5) + 0j), hyp)  # 5 vertices, k = 4
+        argv = ["test", "--manifest", str(man), "--out", str(tmp_path / "o"), "--k", "4"]
+        assert main([*argv, "--m0", str(hyp), *mode]) == 2
+        assert capsys.readouterr().err == f"error: --m0 {hyp}: {self.ZERO_AREA}\n"
+
+
 class TestWorkDoneOncePerCommand:
     def count_calls(self, monkeypatch, calls, module, name):
         original = getattr(module, name)
