@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._normal import ndtri
 from .bootstrap import align_rotation, bootstrap_region
 from .contour import (
     Contour,
@@ -327,7 +328,7 @@ def cmd_test(config: RunConfig) -> None:
         phi, s, n = _studentized_core(shapes, m0)
         print(f"phi             {phi:.10g}")
         print(f"s_n             {s:.10g}")
-        print(f"critical_delta  {_radius_at_level(phi, s, n, config.alpha):.10g}")
+        print(f"critical_delta  {_radius_at_level(phi, s, n, ndtri(1.0 - config.alpha)):.10g}")
         print("decision        (no --delta given; reject exactly when delta < critical_delta)")
 
 

@@ -10,6 +10,11 @@ plug-in variance built from the extrinsic sample covariance, is
 asymptotically standard normal on the boundary of the null.  The test is
 one-sided: evidence against the null is a large positive gap phi - radius^2,
 so the null is rejected when T_n exceeds the upper alpha quantile.
+
+The quantile xi_{1-alpha} and the p-value come from ``_normal.ndtri`` and
+``_normal.ndtr``, pure-Python ports of Moshier's Cephes routines (*Methods
+and Programs for Mathematical Functions*, 1989) that equal
+``scipy.special.ndtri``/``ndtr`` bit for bit.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ._normal import ndtr, ndtri
 from .errors import DegenerateVarianceError
 from .shape_space import (
     EigenSystem,
@@ -141,20 +147,16 @@ def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConf
             "coincides with the sample mean shape, or the sample is concentrated "
             "at a single shape"
         )
-    # imported here, not at module level: scipy costs ~0.27 s to import and
-    # only the test and its critical radius need it
-    from scipy.special import ndtr, ndtri
-
-    xi = float(ndtri(1.0 - config.alpha))
+    xi = ndtri(1.0 - config.alpha)
     t = math.sqrt(n) * (phi - config.radius**2) / s
-    p = float(ndtr(-t))
+    p = ndtr(-t)
     return TestResult(
         squared_distance=phi,
         std_error=s,
         statistic=t,
         p_value=p,
         reject=t > xi,
-        critical_radius=_radius_at_level(phi, s, n, config.alpha),
+        critical_radius=_radius_at_level(phi, s, n, xi),
     )
 
 
@@ -169,12 +171,9 @@ def critical_radius(sample: Sequence[Preshape], m0: Preshape, alpha: float = 0.0
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
     phi, s, n = _studentized_core(sample, m0)
-    return _radius_at_level(phi, s, n, alpha)
+    return _radius_at_level(phi, s, n, ndtri(1.0 - alpha))
 
 
-def _radius_at_level(phi: float, s: float, n: int, alpha: float) -> float:
-    """sqrt(max(0, phi - xi_{1-alpha} s_n / sqrt(n))): the radius where T_n = xi_{1-alpha}."""
-    from scipy.special import ndtri
-
-    xi = float(ndtri(1.0 - alpha))
+def _radius_at_level(phi: float, s: float, n: int, xi: float) -> float:
+    """sqrt(max(0, phi - xi s_n / sqrt(n))): the radius where T_n = xi."""
     return math.sqrt(max(0.0, phi - xi * s / math.sqrt(n)))

@@ -206,33 +206,54 @@ def _read_pgm(path: Path) -> np.ndarray:
         if np.any(values > maxval):
             raise ParseError(path, None, f"PGM sample exceeds maxval {maxval}")
     else:
-        values = _p2_samples(data[pos:], width * height, maxval, path, line_at(pos))
+        values = _p2_samples(data, pos, width * height, maxval, path)
     return values.reshape(height, width) != 0
 
 
 # a '#' that starts a token runs to the end of its line; newlines stay, so
 # line numbers in the stripped raster are those of the file
 _P2_COMMENT = re.compile(rb"(?<!\S)#[^\n]*")
+_P2_TOKEN = re.compile(rb"\S+")
+_P2_SPACE = re.compile(rb"\s")
+_P2_CHUNK = 1 << 20  # bytes of raster whose tokens exist as Python objects at once
 
 
-def _p2_samples(
-    raster: bytes, need: int, maxval: int, path: Path, first_line: int
-) -> np.ndarray:
-    """The first ``need`` samples of a P2 raster, each checked to lie in 0..maxval."""
-    text = _P2_COMMENT.sub(b"", raster) if b"#" in raster else raster
-    tokens = text.split()[:need]
-    if len(tokens) < need:
-        raise ParseError(
-            path, None, f"P2 raster truncated: have {len(tokens)} samples, need {need}"
-        )
-    try:
-        values = np.array(tokens, dtype=np.int64)
-        if values.min() >= 0 and values.max() <= maxval:
-            return values
-    except (ValueError, OverflowError):
-        pass
+def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> np.ndarray:
+    """The first ``need`` samples of the P2 raster at ``data[start:]``, each in 0..maxval.
+
+    The raster is cut at the first whitespace past every ``_P2_CHUNK`` bytes,
+    and the chunks are converted one at a time, so at most one chunk's tokens
+    exist as Python objects at once.  The samples are counted before any is
+    judged: a truncated raster is reported as such, whatever it holds.
+    """
+    if data.find(b"#", start) >= 0:
+        data = data[:start] + _P2_COMMENT.sub(b"", data[start:])
+    values = np.empty(need, dtype=np.uint8 if maxval < 256 else np.uint16)
+    have = 0
+    bad = None  # (chunk start, chunk end) of the first chunk with a bad sample
+    pos = start
+    while have < need and pos < len(data):
+        space = _P2_SPACE.search(data, pos + _P2_CHUNK)
+        end = len(data) if space is None else space.start()
+        tokens = data[pos:end].split()[: need - have]
+        if bad is None and tokens:
+            try:
+                chunk = np.array(tokens, dtype=np.int64)
+                if chunk.min() >= 0 and chunk.max() <= maxval:
+                    values[have : have + len(tokens)] = chunk
+                else:
+                    bad = (pos, end)
+            except (ValueError, OverflowError):
+                bad = (pos, end)
+        have += len(tokens)
+        pos = end
+    if have < need:
+        raise ParseError(path, None, f"P2 raster truncated: have {have} samples, need {need}")
+    if bad is None:
+        return values
     # error path only: name the first bad token and its line
-    for tok, match in zip(tokens, re.finditer(rb"\S+", text)):
+    for match in _P2_TOKEN.finditer(data, *bad):
+        tok = match.group()
         try:
             value = int(tok)
         except ValueError:
@@ -241,8 +262,7 @@ def _p2_samples(
             if 0 <= value <= maxval:
                 continue
             problem = f"P2 sample {value} outside 0..{maxval}"
-        line = first_line + text.count(b"\n", 0, match.start())
-        raise ParseError(path, line, problem)
+        raise ParseError(path, data.count(b"\n", 0, match.start()) + 1, problem)
     raise AssertionError("unreachable: some P2 sample failed the vectorized check")
 
 

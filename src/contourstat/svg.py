@@ -65,7 +65,9 @@ def svg_render(shapes: Sequence[tuple[Preshape | np.ndarray, PathStyle]], path) 
         f'{_fmt(origin[1])} {_fmt(size[0])} {_fmt(size[1])}">\n',
     ]
     for pts, style in point_sets:
-        coords = " L ".join(f"{_fmt(x)} {_fmt(y)}" for x, y in pts)
+        # the text of _fmt on each value, but one format call per point, on
+        # Python floats rather than numpy scalars: this loop dominates at large k
+        coords = " L ".join(["%.8g %.8g" % (x, y) for x, y in pts.tolist()])
         lines.append(
             f'<path d="M {coords} Z" fill="none" stroke="{style.stroke}" '
             f'stroke-width="{_fmt(style.width * base_width)}" '

@@ -403,3 +403,15 @@ def approx_one(curve, k, rng):
     )[0]
     shape_sq = cs.chord_distance(cs.preshape(kgon_at_ref), cs.preshape(ref_points)) ** 2
     return len_err, shape_sq
+
+
+# ---------------------------------------------------------------------------
+# SVG oracle
+
+
+def svg_path_coords(pts):
+    """SVG path coordinates with one ``f"{v:.8g}"`` per value: the reference for ``svg_render``.
+
+    ``pts`` is an (m, 2) array of (x, y) rows, already in SVG orientation.
+    """
+    return " L ".join(f"{x:.8g} {y:.8g}" for x, y in pts)

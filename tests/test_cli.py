@@ -7,7 +7,7 @@ import contourstat as cs
 from contourstat import cli, shape_space
 from contourstat.cli import _approx_rows, main
 from contourstat.contour import _signed_area
-from support import approx_one, wobbly_points
+from support import approx_one, svg_path_coords, wobbly_points
 
 
 @pytest.fixture()
@@ -674,3 +674,21 @@ class TestSvgRender:
     def test_empty_input_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             cs.svg_render([], tmp_path / "x.svg")
+
+    def test_path_coordinates_match_per_value_formatter(self, tmp_path):
+        rng = np.random.default_rng(3)
+        special = np.array([0.0, -0.0, 1e-20, -3e-310, 1e300, -2.5e17, 7.0, -12.0, 123456789.0])
+        xs = np.concatenate([special, rng.standard_normal(200), rng.uniform(-1e6, 1e6, 200)])
+        ys = np.concatenate([special[::-1], rng.standard_normal(400) * 1e-7])
+        shapes = [xs + 1j * ys, np.array([0 + 0j, 1 + 0j, 1 + 1j, -0.0 - 0j])]
+        f = tmp_path / "fmt.svg"
+        cs.svg_render([(pts, cs.PathStyle()) for pts in shapes], f)
+        got = [
+            line.split('d="M ', 1)[1].split(' Z"', 1)[0]
+            for line in f.read_text().splitlines()
+            if "<path" in line
+        ]
+        # svg_render negates the imaginary part: SVG's y axis points down
+        want = [svg_path_coords(np.stack((pts.real, -pts.imag), axis=1)) for pts in shapes]
+        assert got == want
+        assert "-0 " in got[0] and "1e-20" in got[0] and "1e+300" in got[0]

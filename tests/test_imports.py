@@ -1,9 +1,11 @@
-"""Import budget: scipy stays off the import path of every command except ``test``.
+"""Import budget: the package runs on numpy alone, and no command loads scipy.
 
-scipy costs several times the rest of a command's import, so only the
-neighborhood test may load it (``scipy.special``, for the normal quantiles),
-and reading a PGM mask must not load ``scipy.ndimage``.  Each check runs in a
-fresh interpreter, where ``sys.modules`` shows what was imported.
+scipy costs several times the rest of a command's import; the neighborhood
+test takes its normal CDF and quantile from ``contourstat._normal`` instead.
+Each check runs in a fresh interpreter, where ``sys.modules`` shows what was
+imported, and once more with scipy made unimportable.  This file imports
+neither scipy nor hypothesis, so it runs where only numpy and pytest are
+installed.
 """
 
 import json
@@ -19,9 +21,19 @@ import contourstat as cs
 SRC = Path(cs.__file__).resolve().parent.parent
 
 # runs the commands given as a JSON list of argv lists and prints, after the
-# imports and after each command, its exit status and the scipy modules loaded
+# imports and after each command, its exit status and the scipy modules loaded;
+# with a second argument "refuse", every import of scipy fails first
 CHILD = """
 import json, sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"No module named {name!r} (refused)", name=name)
+        return None
+
+if sys.argv[2:] == ["refuse"]:
+    sys.meta_path.insert(0, RefuseScipy())
 
 def scipy_modules():
     return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
@@ -55,11 +67,11 @@ def write_masks(tmp_path):
     return man
 
 
-def run_child(tmp_path, commands):
+def run_child(tmp_path, commands, *flags):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands)],
+        [sys.executable, "-c", CHILD, json.dumps(commands), *flags],
         capture_output=True,
         text=True,
         env=env,
@@ -70,36 +82,43 @@ def run_child(tmp_path, commands):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_scipy_is_loaded_by_the_test_command_only(tmp_path):
+def all_commands(tmp_path):
     man = write_masks(tmp_path)
     common = ["--manifest", str(man), "--out", str(tmp_path / "out")]
     m0 = str(tmp_path / "m1.pgm")
-    report = run_child(
-        tmp_path,
-        [
-            ["mean", *common],
-            ["plot", *common],
-            ["approx", *common, "--k-grid", "8,12", "--repeats", "2"],
-            ["bootstrap", *common, "--B", "50"],
-            ["test", "--delta", "0.05", *common, "--m0", m0],
-            ["test", "--solve-delta", *common, "--m0", m0],
-        ],
-    )
-    steps = [step for step, _, _ in report]
-    assert steps == [
-        "import contourstat",
-        "import contourstat.cli",
-        "mean --manifest",
-        "plot --manifest",
-        "approx --manifest",
-        "bootstrap --manifest",
-        "test --delta",
-        "test --solve-delta",
+    return [
+        ["mean", *common],
+        ["plot", *common],
+        ["approx", *common, "--k-grid", "8,12", "--repeats", "2"],
+        ["bootstrap", *common, "--B", "50"],
+        ["test", "--delta", "0.05", *common, "--m0", m0],
+        ["test", "--solve-delta", *common, "--m0", m0],
     ]
+
+
+STEPS = [
+    "import contourstat",
+    "import contourstat.cli",
+    "mean --manifest",
+    "plot --manifest",
+    "approx --manifest",
+    "bootstrap --manifest",
+    "test --delta",
+    "test --solve-delta",
+]
+
+
+def assert_every_step_succeeds_without_scipy(report):
+    assert [step for step, _, _ in report] == STEPS
     for step, status, modules in report:
         assert status == 0, step
-        assert not any(m.startswith("scipy.ndimage") for m in modules), step
-        if not step.startswith("test"):
-            assert modules == [], step
-    # the test still takes its normal quantiles from scipy
-    assert "scipy.special" in report[-1][2]
+        assert modules == [], step
+
+
+def test_no_command_loads_scipy(tmp_path):
+    assert_every_step_succeeds_without_scipy(run_child(tmp_path, all_commands(tmp_path)))
+
+
+def test_every_command_runs_with_scipy_unimportable(tmp_path):
+    report = run_child(tmp_path, all_commands(tmp_path), "refuse")
+    assert_every_step_succeeds_without_scipy(report)

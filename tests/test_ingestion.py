@@ -1,4 +1,8 @@
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import contourstat as cs
+from contourstat import ingestion
 from contourstat.cli import main
 from contourstat.ingestion import _count_components, _read_pgm, _trace_boundary
 from support import (
@@ -307,6 +312,51 @@ class TestReadP2:
         h, w = values.shape
         (d / "m.pgm").write_text(f"P2\n{w} {h}\n255\n{raster}")
         assert np.array_equal(_read_pgm(d / "m.pgm"), _read_pgm(d / "twin.pgm"))
+
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_chunked_conversion_keeps_samples_and_errors(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingestion, "_P2_CHUNK", chunk)
+        mask = blob_mask(6).astype(np.uint8) * 255
+        write_pgm_p2(tmp_path / "c.pgm", mask)
+        write_pgm_p5(tmp_path / "twin.pgm", mask)
+        assert np.array_equal(_read_pgm(tmp_path / "c.pgm"), _read_pgm(tmp_path / "twin.pgm"))
+        f = tmp_path / "m.pgm"
+        rows = ["0 0 0 0"] * 5 + ["0 0 x7 0"] + ["0 0 0 0"] * 2
+        f.write_text("P2\n4 8\n255\n" + "\n# note\n".join(rows) + "\n")
+        with pytest.raises(cs.ParseError, match=r"m\.pgm:14: bad P2 sample: b'x7'"):
+            _read_pgm(f)
+        # counted before judged: a short raster is truncated, whatever it holds
+        f.write_text("P2\n4 8\n255\n" + "\n".join(rows[:7]) + "\n")
+        with pytest.raises(cs.ParseError, match="P2 raster truncated: have 28 samples, need 32"):
+            _read_pgm(f)
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_large_p2_peak_memory_near_its_p5_twin(self, tmp_path):
+        yy, xx = np.mgrid[0:1500, 0:1500]
+        mask = ((xx - 750) / 600.0) ** 2 + ((yy - 750) / 400.0) ** 2 <= 1.0
+        write_pgm_p5(tmp_path / "m5.pgm", mask.astype(np.uint8) * 255)
+        rows = "\n".join(" ".join(map(str, row)) for row in (mask * 255).tolist())
+        (tmp_path / "m2.pgm").write_text(f"P2\n1500 1500\n255\n{rows}\n", encoding="ascii")
+        child = (
+            "import sys, contourstat\n"
+            "contourstat.read_contour(sys.argv[1])\n"
+            "print(next(l.split()[1] for l in open('/proc/self/status') if l.startswith('VmHWM')))\n"
+        )
+        env = dict(os.environ)
+        src = str(Path(cs.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        peak_kb = {}
+        for name in ("m2.pgm", "m5.pgm"):
+            proc = subprocess.run(
+                [sys.executable, "-c", child, str(tmp_path / name)],
+                capture_output=True,
+                text=True,
+                env=env,
+                timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            peak_kb[name] = int(proc.stdout.split()[-1])
+        assert peak_kb["m2.pgm"] - peak_kb["m5.pgm"] <= 15 * 1024, peak_kb
 
     @pytest.mark.parametrize("sample", ["-1", "70000"])
     def test_out_of_range_sample_exits_two(self, tmp_path, capsys, sample):
