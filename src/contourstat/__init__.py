@@ -16,7 +16,6 @@ from .contour import (
     build_correspondence,
     canonicalize,
     evaluate,
-    max_edge_length,
     relative_length_error,
     select_stopping_times,
     union_of_times,
@@ -56,7 +55,6 @@ from .shape_space import (
     eigensystem,
     extrinsic_covariance,
     extrinsic_mean,
-    frechet_value,
     mean_matrix,
     preshape,
 )
@@ -73,7 +71,6 @@ __all__ = [
     "canonicalize",
     "select_stopping_times",
     "evaluate",
-    "max_edge_length",
     "relative_length_error",
     "build_correspondence",
     "union_of_times",
@@ -85,7 +82,6 @@ __all__ = [
     "ExtrinsicCovariance",
     "preshape",
     "chord_distance",
-    "frechet_value",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",

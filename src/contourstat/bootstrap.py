@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -41,31 +41,27 @@ class BootstrapRegion:
 
     ``radius`` is the 1-based order statistic at index ceil((1 - alpha) B) of
     the sorted distances; ``included`` flags the resampled means whose
-    distance does not exceed it.
+    distance does not exceed it.  Both are derived from the distances.
     """
 
     sample_mean: Preshape
     boot_means: tuple[Preshape, ...]
     distances: np.ndarray
-    radius: float
     alpha: float
-    included: np.ndarray
+    radius: float = field(init=False)
+    included: np.ndarray = field(init=False)
 
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=np.float64)
-        inc = np.asarray(self.included, dtype=bool)
         b = len(self.boot_means)
-        if len(d) != b or len(inc) != b:
-            raise ValueError("distances/included must have one entry per resample")
+        if len(d) != b:
+            raise ValueError("distances must have one entry per resample")
         if np.any(d < 0):
             raise ValueError("distances must be nonnegative")
-        order_index = _quantile_index(self.alpha, b)
-        if self.radius != float(np.sort(d)[order_index - 1]):
-            raise ValueError("radius is not the stated order statistic of the distances")
-        if not np.array_equal(inc, d <= self.radius):
-            raise ValueError("included mask does not match distance <= radius")
+        radius = float(np.sort(d)[_quantile_index(self.alpha, b) - 1])
         object.__setattr__(self, "distances", _freeze(d))
-        object.__setattr__(self, "included", _freeze(inc))
+        object.__setattr__(self, "radius", radius)
+        object.__setattr__(self, "included", _freeze(d <= radius))
 
 
 def _quantile_index(alpha: float, b: int) -> int:
@@ -116,15 +112,7 @@ def bootstrap_region(
     if basis is not None:
         boot = [Preshape(basis @ b.coords) for b in boot]
     dist = np.array([chord_distance(b, mean) for b in boot])
-    radius = float(np.sort(dist)[_quantile_index(alpha, B) - 1])
-    return BootstrapRegion(
-        sample_mean=mean,
-        boot_means=tuple(boot),
-        distances=dist,
-        radius=radius,
-        alpha=alpha,
-        included=dist <= radius,
-    )
+    return BootstrapRegion(sample_mean=mean, boot_means=tuple(boot), distances=dist, alpha=alpha)
 
 
 def _span_coordinates(

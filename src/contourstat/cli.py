@@ -9,16 +9,16 @@ bootstrap  bootstrap confidence region (summary CSV + overlay SVG)
 plot       overlay of the preshaped sample contours
 
 The full pipeline is deterministic: outputs are a pure function of the
-manifest contents and the run configuration.  Domain failures (focal spectra,
-degenerate variance, unreadable inputs) exit with status 2 and a diagnostic
-on stderr; a completed test exits 0 whatever its decision.
+manifest contents and the command-line options.  Domain failures (focal
+spectra, degenerate variance, unreadable inputs) exit with status 2 and a
+diagnostic on stderr; a completed test exits 0 whatever its decision.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +32,6 @@ from .contour import (
     _cum_lengths,
     _interpolate,
     _require_polygons,
-    _signed_area,
     _substream,
     canonicalize,
     evaluate,
@@ -62,44 +61,32 @@ from .inference import (  # noqa: F401
 )
 from .shape_space import chord_distance, extrinsic_covariance  # noqa: F401
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 MEAN_STYLE = PathStyle(stroke="#d62728", width=1.6)
 BOOT_STYLE = PathStyle(stroke="#1f77b4", width=0.8, opacity=0.35)
 PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run parameters for one CLI invocation."""
-
-    command: str
-    manifest: SampleManifest  # with the --seed/--k overrides applied
-    out: str
-    B: int = 400
-    alpha: float = 0.05
-    delta: float | None = None
-    solve_delta: bool = False
-    m0: str | None = None
-    k_grid: tuple[int, ...] = ()
-    repeats: int = 50
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _resolve_config(args)
-        out = Path(config.out)
-        out.mkdir(parents=True, exist_ok=True)
+        _check_options(args)
+        manifest = parse_manifest(args.manifest)
+        manifest = replace(
+            manifest,
+            seed=manifest.seed if args.seed is None else args.seed,
+            k=manifest.k if args.k is None else args.k,
+        )
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         handler = {
             "approx": cmd_approx,
             "mean": cmd_mean,
             "test": cmd_test,
             "bootstrap": cmd_bootstrap,
             "plot": cmd_plot,
-        }[config.command]
-        handler(config)
+        }[args.command]
+        handler(args, manifest)
     except ContourStatError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
@@ -150,38 +137,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
+def _check_options(args: argparse.Namespace) -> None:
+    """Reject bad option values before the manifest is read; parse --k-grid in place."""
     if args.command == "test" and args.delta is None and not args.solve_delta:
         raise ContourStatError("test needs --delta unless --solve-delta is given")
     if args.command == "test" and args.delta is not None and not args.delta > 0:
         raise ContourStatError("--delta must be positive")
-    alpha = getattr(args, "alpha", 0.05)
-    if not 0.0 < alpha < 1.0:
-        raise ContourStatError(f"--alpha must lie in (0, 1), got {alpha:g}")
-    B = getattr(args, "B", 400)
-    if B < 50:
-        raise ContourStatError(f"--B must be at least 50 resamples, got {B}")
-    repeats = getattr(args, "repeats", 50)
-    if repeats < 1:
-        raise ContourStatError(f"--repeats must be at least 1, got {repeats}")
-    k_grid = _parse_k_grid(args.k_grid) if args.command == "approx" else ()
-    manifest = parse_manifest(args.manifest)
-    return RunConfig(
-        command=args.command,
-        manifest=replace(
-            manifest,
-            seed=manifest.seed if args.seed is None else args.seed,
-            k=manifest.k if args.k is None else args.k,
-        ),
-        out=args.out,
-        B=B,
-        alpha=alpha,
-        delta=getattr(args, "delta", None),
-        solve_delta=getattr(args, "solve_delta", False),
-        m0=getattr(args, "m0", None),
-        k_grid=k_grid,
-        repeats=repeats,
-    )
+    if "alpha" in args and not 0.0 < args.alpha < 1.0:
+        raise ContourStatError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
+    if "B" in args and args.B < 50:
+        raise ContourStatError(f"--B must be at least 50 resamples, got {args.B}")
+    if "repeats" in args and args.repeats < 1:
+        raise ContourStatError(f"--repeats must be at least 1, got {args.repeats}")
+    if args.command == "approx":
+        args.k_grid = _parse_k_grid(args.k_grid)
 
 
 def _parse_k_grid(text: str) -> tuple[int, ...]:
@@ -194,7 +163,7 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     return k_grid
 
 
-def cmd_approx(config: RunConfig) -> None:
+def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
     """Approximation quality over a grid of k: length error and shape distance.
 
     For each contour, k, and repeat, a fresh set of stopping times is drawn
@@ -203,12 +172,11 @@ def cmd_approx(config: RunConfig) -> None:
     k-gon is the contour itself), so the error row is exactly zero.  The
     repeats of one contour and k are then evaluated together.
     """
-    manifest = config.manifest
     curves = _read_curves(manifest)
     rows = []
-    for ki, k in enumerate(config.k_grid):
+    for ki, k in enumerate(args.k_grid):
         times = [[] for _ in curves]
-        for rep in range(config.repeats):
+        for rep in range(args.repeats):
             rng = _substream(manifest.seed, ki, rep)
             for curve_times, curve in zip(times, curves):
                 if k == len(curve):
@@ -227,7 +195,7 @@ def cmd_approx(config: RunConfig) -> None:
                 float(np.std(shape_sqs)),
             )
         )
-    out = Path(config.out) / "approx_report.csv"
+    out = Path(args.out) / "approx_report.csv"
     header = "k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist"
     body = "\n".join(
         f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}" for k, m1, s1, m2, s2 in rows
@@ -244,36 +212,27 @@ def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.n
 
     Each k-gon is parameterized by its own arclength and evaluated at the
     contour's vertex fractions; the shape error is the squared chord distance
-    from that configuration to the contour's vertices.  A k-gon that winds
-    clockwise (all stopping times on one concave arc) is mirrored together
-    with its reference, which keeps arclengths and chord distance but
-    restores counterclockwise order; a k-gon of zero area (all times on one
-    straight run) is parameterized as it is.
+    from that configuration to the contour's vertices.
     """
     kgons = _interpolate(curve.cum_lengths[None], curve.vertices[None], times)
     _require_polygons(kgons)
-    cum = _cum_lengths(kgons)  # mirroring keeps every edge length
+    cum = _cum_lengths(kgons)
     if np.any(np.diff(cum, axis=1) <= 0):
         raise DegenerateContourError("k-gon arclength is not strictly increasing")
     len_errs = (curve.total_length - cum[:, -1]) / curve.total_length
-    clockwise = _signed_area(kgons) < 0
-    kgons[clockwise] = kgons[clockwise].conj()
     ref_fracs = curve.cum_lengths[:-1] / curve.total_length
     # a configuration, not a contour: a zero-area k-gon maps reference
     # fractions f and 1 - f about its turning point to one point
     kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
-    ref, mirrored_ref = _preshape_rows(np.stack((curve.vertices, curve.vertices.conj())))
-    shape_sqs = [
-        _chord(g, mirrored_ref if cw else ref) ** 2
-        for g, cw in zip(_preshape_rows(kgons_at_ref), clockwise)
-    ]
+    ref = _preshape_rows(curve.vertices[None])[0]
+    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(kgons_at_ref)]
     return len_errs, np.array(shape_sqs)
 
 
-def cmd_mean(config: RunConfig) -> None:
-    shapes, times = load_sample(config.manifest)
+def cmd_mean(args: argparse.Namespace, manifest: SampleManifest) -> None:
+    shapes, times = load_sample(manifest)
     mean, eigen = extrinsic_mean(shapes)
-    out = Path(config.out)
+    out = Path(args.out)
     write_contour(Contour(mean.coords), out / "mean_shape.csv")
     svg_render([(mean, MEAN_STYLE)], out / "mean_shape.svg")
     print(f"n        {len(shapes)}")
@@ -283,7 +242,7 @@ def cmd_mean(config: RunConfig) -> None:
     print(f"wrote {out / 'mean_shape.csv'} and {out / 'mean_shape.svg'}")
 
 
-def _hypothesis_shape(config: RunConfig, times: StoppingTimes):
+def _hypothesis_shape(path: str, times: StoppingTimes):
     """Preshape the hypothesized contour in the sample's correspondence.
 
     A contour with exactly k vertices is taken to be in correspondence
@@ -292,32 +251,32 @@ def _hypothesis_shape(config: RunConfig, times: StoppingTimes):
     canonicalized and evaluated at the sample's stopping times.
     """
     try:
-        m0_contour = read_contour(config.m0)
+        m0_contour = read_contour(path)
         if len(m0_contour) == times.k:
             return preshape(m0_contour)
         return preshape(evaluate(canonicalize(m0_contour), times))
     except ContourStatError as err:
-        raise ContourStatError(f"--m0 {config.m0}: {err}") from err
+        raise ContourStatError(f"--m0 {path}: {err}") from err
 
 
-def _load_two_or_more(config: RunConfig):
+def _load_two_or_more(command: str, manifest: SampleManifest):
     """The sample of a command that needs at least two contours (test, bootstrap)."""
-    shapes, times = load_sample(config.manifest)
+    shapes, times = load_sample(manifest)
     if len(shapes) < 2:
         raise ContourStatError(
-            f"{config.command} needs at least 2 contours, the manifest lists {len(shapes)}"
+            f"{command} needs at least 2 contours, the manifest lists {len(shapes)}"
         )
     return shapes, times
 
 
-def cmd_test(config: RunConfig) -> None:
-    shapes, times = _load_two_or_more(config)
-    m0 = _hypothesis_shape(config, times)
+def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
+    shapes, times = _load_two_or_more(args.command, manifest)
+    m0 = _hypothesis_shape(args.m0, times)
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
-    if config.delta is not None:
-        result = neighborhood_test(shapes, m0, TestConfig(config.delta, config.alpha))
-        print(f"delta           {config.delta:.10g}")
+    if args.delta is not None:
+        result = neighborhood_test(shapes, m0, TestConfig(args.delta, args.alpha))
+        print(f"delta           {args.delta:.10g}")
         print(f"phi             {result.squared_distance:.10g}")
         print(f"s_n             {result.std_error:.10g}")
         print(f"T_n             {result.statistic:.10g}")
@@ -328,19 +287,17 @@ def cmd_test(config: RunConfig) -> None:
         phi, s, n = _studentized_core(shapes, m0)
         print(f"phi             {phi:.10g}")
         print(f"s_n             {s:.10g}")
-        print(f"critical_delta  {_radius_at_level(phi, s, n, ndtri(1.0 - config.alpha)):.10g}")
+        print(f"critical_delta  {_radius_at_level(phi, s, n, ndtri(1.0 - args.alpha)):.10g}")
         print("decision        (no --delta given; reject exactly when delta < critical_delta)")
 
 
-def cmd_bootstrap(config: RunConfig) -> None:
-    shapes, times = _load_two_or_more(config)
-    region = bootstrap_region(
-        shapes, B=config.B, alpha=config.alpha, seed=config.manifest.seed
-    )
-    out = Path(config.out)
+def cmd_bootstrap(args: argparse.Namespace, manifest: SampleManifest) -> None:
+    shapes, times = _load_two_or_more(args.command, manifest)
+    region = bootstrap_region(shapes, B=args.B, alpha=args.alpha, seed=manifest.seed)
+    out = Path(args.out)
     csv_path = out / "bootstrap_summary.csv"
     lines = [
-        f"# B={config.B} alpha={config.alpha:.10g} radius={region.radius:.17g}",
+        f"# B={args.B} alpha={args.alpha:.10g} radius={region.radius:.17g}",
         "resample,distance,included",
     ]
     for i, (d, inc) in enumerate(zip(region.distances, region.included)):
@@ -354,15 +311,15 @@ def cmd_bootstrap(config: RunConfig) -> None:
     overlay.append((region.sample_mean, MEAN_STYLE))
     svg_render(overlay, out / "bootstrap_region.svg")
     print(f"n         {len(shapes)}")
-    print(f"B         {config.B}")
+    print(f"B         {args.B}")
     print(f"radius    {region.radius:.10g}")
     print(f"included  {int(region.included.sum())}")
     print(f"wrote {csv_path} and {out / 'bootstrap_region.svg'}")
 
 
-def cmd_plot(config: RunConfig) -> None:
-    shapes, times = load_sample(config.manifest)
-    out = Path(config.out) / "contours.svg"
+def cmd_plot(args: argparse.Namespace, manifest: SampleManifest) -> None:
+    shapes, times = load_sample(manifest)
+    out = Path(args.out) / "contours.svg"
     svg_render([(s, PLAIN_STYLE) for s in shapes], out)
     print(f"n  {len(shapes)}")
     print(f"k  {times.k}")

@@ -11,7 +11,7 @@ correspondence between its members.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,7 +25,6 @@ __all__ = [
     "canonicalize",
     "select_stopping_times",
     "evaluate",
-    "max_edge_length",
     "relative_length_error",
     "build_correspondence",
     "union_of_times",
@@ -57,9 +56,14 @@ def _cum_lengths(points: np.ndarray) -> np.ndarray:
 
 
 def _signed_area(points: np.ndarray):
-    """Shoelace area (one per row); positive for counterclockwise vertex order."""
-    nxt = np.roll(points, -1, axis=-1)
-    return 0.5 * np.sum(np.imag(np.conj(points) * nxt), axis=-1)
+    """Shoelace area (one per row); positive for counterclockwise vertex order.
+
+    Taken about each row's first vertex, so a polygon far from the origin
+    keeps its sign instead of losing it to cancellation.
+    """
+    rel = points - points[..., :1]
+    nxt = np.roll(rel, -1, axis=-1)
+    return 0.5 * np.sum(np.imag(np.conj(rel) * nxt), axis=-1)
 
 
 def _require_polygons(points: np.ndarray) -> None:
@@ -112,39 +116,27 @@ class ParamCurve:
 
     ``cum_lengths`` holds the arclength at every vertex plus one final entry
     for the return to vertex 0, so ``cum_lengths[0] == 0`` and
-    ``cum_lengths[-1] == total_length``.  Vertex order is counterclockwise
-    and vertex 0 is the designated start point of the parameterization.  A
-    polygon of zero signed area (collinear vertices) has no orientation and
-    is accepted; arclength is well defined on it.
+    ``cum_lengths[-1] == total_length``; both are computed from the vertices.
+    Vertex order is counterclockwise and vertex 0 is the designated start
+    point of the parameterization.  A polygon of zero signed area (collinear
+    vertices) has no orientation and is accepted; arclength is well defined
+    on it.
     """
 
     vertices: np.ndarray
-    cum_lengths: np.ndarray
-    total_length: float
+    cum_lengths: np.ndarray = field(init=False)
+    total_length: float = field(init=False)
 
     def __post_init__(self):
         verts = _as_complex_vector(self.vertices)
-        cum = np.asarray(self.cum_lengths, dtype=np.float64)
-        if len(cum) != len(verts) + 1:
-            raise ValueError("cum_lengths must have one entry per vertex plus the closure")
-        if cum[0] != 0.0:
-            raise ValueError("cum_lengths must start at 0")
+        cum = _cum_lengths(verts)
         if np.any(np.diff(cum) <= 0):
             raise ValueError("cum_lengths must be strictly increasing")
-        if cum[-1] != self.total_length:
-            raise ValueError("last cum_length must equal total_length")
         if _signed_area(verts) < 0:
             raise ValueError("curve must be oriented counterclockwise")
         object.__setattr__(self, "vertices", _freeze(verts))
         object.__setattr__(self, "cum_lengths", _freeze(cum))
-        object.__setattr__(self, "total_length", float(self.total_length))
-
-    @classmethod
-    def from_vertices(cls, points) -> "ParamCurve":
-        """Parameterize an already counterclockwise polygon, keeping vertex 0 as start."""
-        pts = points.points if isinstance(points, Contour) else _as_complex_vector(points)
-        cum = _cum_lengths(pts)
-        return cls(pts, cum, float(cum[-1]))
+        object.__setattr__(self, "total_length", float(cum[-1]))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -207,7 +199,7 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     angles = np.mod(np.angle(pts[candidates] - center), 2.0 * np.pi)
     start = int(candidates[np.argmin(angles)])
     rolled = np.roll(pts, -start)
-    return ParamCurve.from_vertices(rolled)
+    return ParamCurve(rolled)
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -257,11 +249,6 @@ def _interpolate(cum: np.ndarray, vertices: np.ndarray, s: np.ndarray) -> np.nda
     w = (s[r, c] - fracs[r, j - 1]) / (fracs[r, j] - fracs[r, j - 1])
     out[r, c] = closed[r, j - 1] + w * (closed[r, j] - closed[r, j - 1])
     return out
-
-
-def max_edge_length(kgon: Contour) -> float:
-    """Longest edge of the closed polygon, closing edge included."""
-    return float(np.abs(_closed_edges(kgon.points)).max())
 
 
 def relative_length_error(reference_length: float, kgon: Contour) -> float:

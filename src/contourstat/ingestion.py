@@ -8,10 +8,9 @@ Two input formats are supported, both read bit-exactly with numpy alone
   always ``.``.
 * PGM masks (P5 binary or P2 ASCII): 0 is background, any nonzero value is
   foreground.  The mask must contain exactly one 8-connected foreground
-  component; its boundary is traced with Moore-neighbor tracing (Jacob's
-  stopping criterion, or the start pixel stepping to the second pixel again)
-  from the top-most then left-most foreground pixel and reported
-  counterclockwise.
+  component; its boundary is traced with Moore-neighbor tracing (stopping
+  when the start pixel steps to the second pixel again) from the top-most
+  then left-most foreground pixel and reported counterclockwise.
 
 A sample manifest is a plain text file, one directive per line::
 
@@ -321,14 +320,14 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
     """Moore-neighbor boundary trace.
 
     Starts at the top-most then left-most foreground pixel, entered from the
-    west (guaranteed background there).  Stops upon re-entering the start
-    pixel from the same backtrack position (Jacob's criterion), or when the
-    trace is at the start pixel and its next step goes to the trace's second
-    pixel (the boundary-following stop of Gonzalez & Woods): the tip of a
-    one-pixel-wide spur is never re-entered from the west.  Both stops close
-    the same cycle where Jacob's criterion is met.  The mask is padded with
-    one background pixel on every side and probed by flat index, so no probe
-    needs a bounds check.
+    west (guaranteed background there).  Stops when the trace is at the start
+    pixel and its next step goes to the trace's second pixel (the
+    boundary-following stop of Gonzalez & Woods).  Where Jacob's criterion
+    (re-entering the start pixel from the west) holds, this stop fires one
+    step later at the same pixel and closes the same cycle; unlike Jacob's, it
+    also fires at the tip of a one-pixel-wide spur, which is never re-entered
+    from the west.  The mask is padded with one background pixel on every
+    side and probed by flat index, so no probe needs a bounds check.
     """
     rows, cols = mask.shape
     width = cols + 2
@@ -341,10 +340,9 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
     fg_rows, fg_cols = np.nonzero(mask)
     r0 = int(fg_rows.min())
     start = (r0 + 1) * width + int(fg_cols[fg_rows == r0].min()) + 1
-    start_back = start - 1
 
     boundary = [start]
-    cur, back = start, start_back
+    cur, back = start, start - 1  # entered from the west
     limit = 4 * len(fg_rows) + 8
     for _ in range(limit):
         bi = direction[back - cur]
@@ -359,8 +357,6 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
             boundary.pop()  # the start pixel, appended when the trace re-entered it
             break
         cur = nxt
-        if cur == start and back == start_back:
-            break
         boundary.append(cur)
     else:
         raise MaskError("boundary tracing did not terminate; mask is malformed")

@@ -38,7 +38,6 @@ __all__ = [
     "ExtrinsicCovariance",
     "preshape",
     "chord_distance",
-    "frechet_value",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",
@@ -205,15 +204,6 @@ def _chord(a: np.ndarray, b: np.ndarray) -> float:
     res_ab = np.linalg.norm(b - ip * a)
     res_ba = np.linalg.norm(a - np.conj(ip) * b)
     return float(np.sqrt(2.0 * res_ab * res_ba))
-
-
-def frechet_value(candidate: Preshape, sample: Sequence[Preshape]) -> float:
-    """Mean squared chord distance from the candidate to the sample."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
-    gam = _stack(sample)
-    ips = np.abs(gam @ candidate.coords.conj()) ** 2
-    return float(np.mean(2.0 * (1.0 - np.minimum(1.0, ips))))
 
 
 def _stack(sample: Sequence[Preshape]) -> np.ndarray:

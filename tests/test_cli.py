@@ -48,6 +48,34 @@ class TestMeanCommand:
         assert len(mean_contour) == 40
 
 
+class TestContoursFarFromOrigin:
+    """A sample translated far from the origin keeps its orientation and its mean."""
+
+    def write_sample(self, directory, offset):
+        lines = ["seed 5", "k 30", "correspondence shared-times"]
+        for i in range(12):
+            f = directory / f"c{i}.csv"
+            cs.write_contour(cs.Contour(wobbly_points(200, phase=0.05 * i) + offset(i)), f)
+            lines.append(f"contour id{i} {f.name}")
+        man = directory / "sample.manifest"
+        man.write_text("\n".join(lines) + "\n")
+        return man
+
+    def test_mean_of_translated_sample_is_the_untranslated_mean(self, tmp_path, capsys):
+        (tmp_path / "far").mkdir()
+        (tmp_path / "near").mkdir()
+        far = self.write_sample(tmp_path / "far", lambda i: 1e9 * np.exp(2j * np.pi * i / 12))
+        near = self.write_sample(tmp_path / "near", lambda i: 0.0)
+        assert main(["mean", "--manifest", str(far), "--out", str(tmp_path / "o_far")]) == 0
+        assert capsys.readouterr().err == ""
+        assert main(["mean", "--manifest", str(near), "--out", str(tmp_path / "o_near")]) == 0
+        got, want = (
+            cs.preshape(cs.read_contour(tmp_path / o / "mean_shape.csv"))
+            for o in ("o_far", "o_near")
+        )
+        assert cs.chord_distance(got, want) < 1e-5
+
+
 class TestTestCommand:
     def test_m0_equal_to_computed_mean_gives_zero_critical_delta(self, sample_dir, capsys):
         tmp_path, man = sample_dir
@@ -142,6 +170,17 @@ class TestBadOptions:
         assert code == 2
         assert err == f"error: {message}\n"
         assert not out.exists()
+
+
+    def test_options_checked_before_the_manifest_is_read(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        code = main(["bootstrap", "--manifest", missing, "--out", str(tmp_path), "--B", "10"])
+        assert code == 2
+        assert capsys.readouterr().err == "error: --B must be at least 50 resamples, got 10\n"
+
+    def test_no_run_config_type(self):
+        assert not hasattr(cli, "RunConfig")
+        assert cli.__all__ == ["main"]
 
 
 class TestOneContourManifest:
@@ -496,7 +535,7 @@ class TestApproxZeroAreaKgon:
         assert abs(_signed_area(kgon.points)) < 1e-15
         ref_fracs = curve.cum_lengths[:-1] / curve.total_length
         with pytest.raises(cs.DegenerateContourError, match="equal consecutive points"):
-            cs.evaluate(cs.ParamCurve.from_vertices(kgon), cs.StoppingTimes(ref_fracs))
+            cs.evaluate(cs.ParamCurve(kgon.points), cs.StoppingTimes(ref_fracs))
         at_ref = arclength_resample(kgon.points, ref_fracs)
         _, shape_sqs = _approx_rows(curve, times.times[None])
         expected = cs.chord_distance(cs.preshape(at_ref), cs.preshape(curve.vertices)) ** 2

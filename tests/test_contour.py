@@ -1,9 +1,18 @@
+import inspect
+
 import numpy as np
 import pytest
 
 import contourstat as cs
-from contourstat.contour import _require_polygons
-from support import center_of_mass, is_simple, polygon_length, wobbly_contour, wobbly_points
+from contourstat.contour import _require_polygons, _signed_area
+from support import (
+    center_of_mass,
+    is_simple,
+    max_edge_length,
+    polygon_length,
+    wobbly_contour,
+    wobbly_points,
+)
 
 SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])  # ccw, centered
 UNIT_SQUARE = np.array([0 + 0j, 1 + 0j, 1 + 1j, 0 + 1j])  # ccw
@@ -60,19 +69,66 @@ class TestContourType:
             c.points[0] = 0
 
 
+class TestParamCurveType:
+    def test_takes_the_vertices_alone(self):
+        assert list(inspect.signature(cs.ParamCurve).parameters) == ["vertices"]
+        assert not hasattr(cs.ParamCurve, "from_vertices")
+
+    def test_derived_lengths_equal_the_running_edge_sum(self):
+        assert cs.ParamCurve(UNIT_SQUARE).cum_lengths.tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        pts = cs.canonicalize(wobbly_contour(57)).vertices
+        curve = cs.ParamCurve(pts)
+        cum = np.concatenate(([0.0], np.cumsum(np.abs(np.roll(pts, -1) - pts))))
+        assert np.array_equal(curve.cum_lengths, cum)
+        assert not curve.cum_lengths.flags.writeable
+        assert curve.total_length == cum[-1]
+        assert type(curve.total_length) is float
+
+    def test_clockwise_rejected(self):
+        with pytest.raises(ValueError, match="counterclockwise"):
+            cs.ParamCurve(UNIT_SQUARE[::-1])
+
+    def test_zero_edge_rejected(self):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cs.ParamCurve(np.array([0, 1, 1, 1j]))
+
+
+class TestFarFromOrigin:
+    """A translated contour keeps its orientation: the shoelace sum is taken about vertex 0."""
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_signed_area_survives_translation(self, scale):
+        base = wobbly_points(200)
+        for phi in np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False):
+            moved = base + scale * np.exp(1j * phi)
+            assert _signed_area(moved) == pytest.approx(_signed_area(base), rel=1e-5)
+            assert _signed_area(moved[::-1]) == pytest.approx(-_signed_area(base), rel=1e-5)
+
+    @pytest.mark.parametrize("scale", [1e8, 1e9])
+    def test_canonical_start_and_direction_survive_translation(self, scale):
+        base = wobbly_points(200)
+        ref = cs.canonicalize(cs.Contour(base)).vertices
+        for phi in np.linspace(0.0, 2.0 * np.pi, 50, endpoint=False):
+            offset = scale * np.exp(1j * phi)
+            for pts in (base + offset, (base + offset)[::-1]):
+                got = cs.canonicalize(cs.Contour(pts)).vertices - offset
+                assert abs(got[0] - ref[0]) < 1e-5
+                assert abs(got[1] - ref[1]) < 1e-5
+
+
 class TestCenterOfMass:
     def test_square_centered_at_origin(self):
-        curve = cs.ParamCurve.from_vertices(SQUARE)
+        curve = cs.ParamCurve(SQUARE)
         assert abs(center_of_mass(curve)) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 5, 12, 100])
     def test_regular_ngon_centered(self, n):
-        curve = cs.ParamCurve.from_vertices(ngon(n))
+        curve = cs.ParamCurve(ngon(n))
         assert abs(center_of_mass(curve)) < 1e-12
 
     def test_translation_equivariant(self):
-        shifted = cs.ParamCurve.from_vertices(UNIT_SQUARE + (3 + 4j))
-        base = cs.ParamCurve.from_vertices(UNIT_SQUARE)
+        shifted = cs.ParamCurve(UNIT_SQUARE + (3 + 4j))
+        base = cs.ParamCurve(UNIT_SQUARE)
         assert abs(center_of_mass(shifted) - center_of_mass(base) - (3 + 4j)) < 1e-12
 
 
@@ -109,11 +165,11 @@ class TestCanonicalize:
 
 class TestPolygonLength:
     def test_unit_square(self):
-        assert polygon_length(cs.ParamCurve.from_vertices(UNIT_SQUARE)) == pytest.approx(4.0)
+        assert polygon_length(cs.ParamCurve(UNIT_SQUARE)) == pytest.approx(4.0)
 
     def test_regular_1000gon_close_to_circle(self):
         # closed form for the inscribed polygon: 2 n sin(pi / n)
-        curve = cs.ParamCurve.from_vertices(ngon(1000))
+        curve = cs.ParamCurve(ngon(1000))
         expected = 2 * 1000 * np.sin(np.pi / 1000)
         assert polygon_length(curve) == pytest.approx(expected, rel=1e-12)
         assert polygon_length(curve) == pytest.approx(2 * np.pi, rel=1e-4)
@@ -170,12 +226,12 @@ class TestEvaluate:
         assert np.array_equal(out.points, curve.vertices)
 
     def test_unit_square_midpoint_of_first_edge(self):
-        curve = cs.ParamCurve.from_vertices(UNIT_SQUARE)
+        curve = cs.ParamCurve(UNIT_SQUARE)
         out = cs.evaluate(curve, cs.StoppingTimes([0.0, 0.125, 0.5]))
         assert out.points[1] == pytest.approx(0.5 + 0j, abs=1e-15)
 
     def test_fraction_at_vertex_returns_vertex(self):
-        curve = cs.ParamCurve.from_vertices(UNIT_SQUARE)
+        curve = cs.ParamCurve(UNIT_SQUARE)
         # 0.25 is exactly the fraction of vertex 1
         out = cs.evaluate(curve, cs.StoppingTimes([0.0, 0.25, 0.6]))
         assert out.points[1] == curve.vertices[1]
@@ -183,19 +239,19 @@ class TestEvaluate:
 
 class TestMaxEdgeLength:
     def test_unit_square(self):
-        assert cs.max_edge_length(cs.Contour(UNIT_SQUARE)) == pytest.approx(1.0)
+        assert max_edge_length(cs.Contour(UNIT_SQUARE)) == pytest.approx(1.0)
 
     def test_regular_ngon_edges_equal(self):
         c = cs.Contour(ngon(17))
         edge = abs(ngon(17)[1] - ngon(17)[0])
-        assert cs.max_edge_length(c) == pytest.approx(edge, rel=1e-12)
+        assert max_edge_length(c) == pytest.approx(edge, rel=1e-12)
 
     def test_median_max_edge_decreases_in_k(self):
         curve = cs.canonicalize(wobbly_contour(800))
         medians = []
         for k in (50, 150, 450):
             vals = [
-                cs.max_edge_length(cs.evaluate(curve, cs.select_stopping_times(k, np.random.default_rng(s))))
+                max_edge_length(cs.evaluate(curve, cs.select_stopping_times(k, np.random.default_rng(s))))
                 for s in range(50)
             ]
             medians.append(np.median(vals))
@@ -224,7 +280,7 @@ class TestRelativeLengthError:
         assert e50 > e800 >= 0.0
 
     def test_inscribed_convex_nonnegative(self):
-        circle = cs.ParamCurve.from_vertices(ngon(1500))
+        circle = cs.ParamCurve(ngon(1500))
         for seed in range(20):
             kgon = cs.evaluate(circle, cs.select_stopping_times(40, np.random.default_rng(seed)))
             assert cs.relative_length_error(circle.total_length, kgon) >= 0.0

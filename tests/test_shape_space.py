@@ -10,6 +10,7 @@ from support import (
     draw_tangent_gaussian,
     embed,
     explicit_mean_matrix,
+    frechet_value,
     fused_studentized_variance,
     frame_matrices,
     hs_inner_real,
@@ -139,27 +140,27 @@ class TestChordDistance:
 class TestFrechetValue:
     def test_self_sample_zero(self):
         g = random_preshape(6, np.random.default_rng(11))
-        assert cs.frechet_value(g, [g]) == pytest.approx(0.0, abs=1e-14)
+        assert frechet_value(g, [g]) == pytest.approx(0.0, abs=1e-14)
 
     def test_two_orthogonal_shapes_give_two(self):
         rng = np.random.default_rng(12)
         a, b = orthogonal_pair(6, rng)
         frame = centered_basis(a.coords)
         c = cs.Preshape(frame[:, 1])
-        assert cs.frechet_value(a, [b, c]) == pytest.approx(2.0, abs=1e-12)
+        assert frechet_value(a, [b, c]) == pytest.approx(2.0, abs=1e-12)
 
     def test_mean_beats_random_candidates(self):
         rng = np.random.default_rng(13)
         sample = [random_preshape(8, rng) for _ in range(10)]
         mean, _ = cs.extrinsic_mean(sample)
-        f_mean = cs.frechet_value(mean, sample)
+        f_mean = frechet_value(mean, sample)
         for _ in range(10_000):
             q = random_preshape(8, rng)
-            assert f_mean <= cs.frechet_value(q, sample)
+            assert f_mean <= frechet_value(q, sample)
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            cs.frechet_value(random_preshape(5, np.random.default_rng(0)), [])
+            frechet_value(random_preshape(5, np.random.default_rng(0)), [])
 
 
 class TestMeanMatrix:
@@ -260,9 +261,9 @@ class TestExtrinsicMean:
             sample.append(cs.preshape(noisy))
         mean, _ = cs.extrinsic_mean(sample)
         assert cs.chord_distance(mean, base) < 0.2
-        f_mean = cs.frechet_value(mean, sample)
+        f_mean = frechet_value(mean, sample)
         for member in sample:
-            assert f_mean <= cs.frechet_value(member, sample)
+            assert f_mean <= frechet_value(member, sample)
 
     def test_permutation_invariance(self):
         rng = np.random.default_rng(24)
