@@ -43,6 +43,7 @@ from .ingestion import (
     load_sample,
     parse_manifest,
     read_contour,
+    read_curves,
     write_contour,
 )
 from .shape_space import (
@@ -50,7 +51,7 @@ from .shape_space import (
     EigenSystem,
     ExtrinsicCovariance,
     Preshape,
-    VWMatrix,
+    approximation_errors,
     chord_distance,
     eigensystem,
     extrinsic_covariance,
@@ -77,7 +78,6 @@ __all__ = [
     # shape space
     "DEFAULT_GAP_TOL",
     "Preshape",
-    "VWMatrix",
     "EigenSystem",
     "ExtrinsicCovariance",
     "preshape",
@@ -86,6 +86,7 @@ __all__ = [
     "eigensystem",
     "extrinsic_mean",
     "extrinsic_covariance",
+    "approximation_errors",
     # inference
     "TestConfig",
     "TestResult",
@@ -105,6 +106,7 @@ __all__ = [
     "write_contour",
     "parse_manifest",
     "load_sample",
+    "read_curves",
     # figures
     "PathStyle",
     "svg_render",

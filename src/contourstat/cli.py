@@ -23,38 +23,25 @@ from pathlib import Path
 
 import numpy as np
 
-from ._normal import ndtri
 from .bootstrap import align_rotation, bootstrap_region
-from .contour import (
-    Contour,
-    ParamCurve,
-    StoppingTimes,
-    _cum_lengths,
-    _interpolate,
-    _require_polygons,
-    _substream,
-    canonicalize,
-    evaluate,
-    select_stopping_times,
-)
-from .errors import ContourStatError, DegenerateContourError
-from .inference import TestConfig, _radius_at_level, _studentized_core, neighborhood_test
+from .contour import Contour, StoppingTimes, canonicalize, evaluate
+from .errors import ContourStatError
+from .inference import TestConfig, critical_radius, neighborhood_test
 from .ingestion import (
     SampleManifest,
-    _read_curves,
     load_sample,
     parse_manifest,
     read_contour,
+    read_curves,
     write_contour,
 )
-from .shape_space import _chord, _preshape_rows, extrinsic_mean, preshape
+from .shape_space import approximation_errors, extrinsic_mean, preshape
 from .svg import PathStyle, svg_render
 
 # Not called here, but kept importable from this module: the benchmark's
 # tracer (bench/tracing.py) wraps these names on it.
-from .contour import relative_length_error  # noqa: F401
+from .contour import relative_length_error, select_stopping_times  # noqa: F401
 from .inference import (  # noqa: F401
-    critical_radius,
     squared_shape_distance,
     studentizing_variance,
     tangent_offset,
@@ -164,37 +151,13 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
 
 
 def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
-    """Approximation quality over a grid of k: length error and shape distance.
-
-    For each contour, k, and repeat, a fresh set of stopping times is drawn
-    from a substream keyed by (seed, k-index, repeat).  When k equals the
-    contour's own vertex count the contour's vertex fractions are used (the
-    k-gon is the contour itself), so the error row is exactly zero.  The
-    repeats of one contour and k are then evaluated together.
-    """
-    curves = _read_curves(manifest)
-    rows = []
-    for ki, k in enumerate(args.k_grid):
-        times = [[] for _ in curves]
-        for rep in range(args.repeats):
-            rng = _substream(manifest.seed, ki, rep)
-            for curve_times, curve in zip(times, curves):
-                if k == len(curve):
-                    curve_times.append(curve.cum_lengths[:-1] / curve.total_length)
-                else:
-                    curve_times.append(select_stopping_times(k, rng).times)
-        errs = np.array([_approx_rows(c, np.array(t)) for c, t in zip(curves, times)])
-        # (contour, kind, repeat) -> per kind in draw order: repeat-major, contour-minor
-        len_errs, shape_sqs = errs.transpose(1, 2, 0).reshape(2, -1)
-        rows.append(
-            (
-                k,
-                float(np.mean(len_errs)),
-                float(np.std(len_errs)),
-                float(np.mean(shape_sqs)),
-                float(np.std(shape_sqs)),
-            )
-        )
+    """Approximation quality over a grid of k: length error and shape distance."""
+    curves = read_curves(manifest)
+    len_errs, shape_sqs = approximation_errors(curves, args.k_grid, args.repeats, manifest.seed)
+    rows = [
+        (k, float(np.mean(le)), float(np.std(le)), float(np.mean(sq)), float(np.std(sq)))
+        for k, le, sq in zip(args.k_grid, len_errs, shape_sqs)
+    ]
     out = Path(args.out) / "approx_report.csv"
     header = "k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist"
     body = "\n".join(
@@ -205,28 +168,6 @@ def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
     for k, m1, s1, m2, s2 in rows:
         print(f"{k:>6} {m1:>14.6g} {s1:>12.6g} {m2:>14.6g} {s2:>12.6g}")
     print(f"wrote {out}")
-
-
-def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative length error and squared shape distance of the k-gon at each row of times.
-
-    Each k-gon is parameterized by its own arclength and evaluated at the
-    contour's vertex fractions; the shape error is the squared chord distance
-    from that configuration to the contour's vertices.
-    """
-    kgons = _interpolate(curve.cum_lengths[None], curve.vertices[None], times)
-    _require_polygons(kgons)
-    cum = _cum_lengths(kgons)
-    if np.any(np.diff(cum, axis=1) <= 0):
-        raise DegenerateContourError("k-gon arclength is not strictly increasing")
-    len_errs = (curve.total_length - cum[:, -1]) / curve.total_length
-    ref_fracs = curve.cum_lengths[:-1] / curve.total_length
-    # a configuration, not a contour: a zero-area k-gon maps reference
-    # fractions f and 1 - f about its turning point to one point
-    kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
-    ref = _preshape_rows(curve.vertices[None])[0]
-    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(kgons_at_ref)]
-    return len_errs, np.array(shape_sqs)
 
 
 def cmd_mean(args: argparse.Namespace, manifest: SampleManifest) -> None:
@@ -284,10 +225,10 @@ def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
         print(f"critical_delta  {result.critical_radius:.10g}")
         print(f"decision        {'reject' if result.reject else 'fail-to-reject'}")
     else:
-        phi, s, n = _studentized_core(shapes, m0)
+        radius, phi, s = critical_radius(shapes, m0, args.alpha)
         print(f"phi             {phi:.10g}")
         print(f"s_n             {s:.10g}")
-        print(f"critical_delta  {_radius_at_level(phi, s, n, ndtri(1.0 - args.alpha)):.10g}")
+        print(f"critical_delta  {radius:.10g}")
         print("decision        (no --delta given; reject exactly when delta < critical_delta)")
 
 

@@ -55,13 +55,27 @@ def _cum_lengths(points: np.ndarray) -> np.ndarray:
     return np.concatenate((zero, np.cumsum(np.abs(_closed_edges(points)), axis=-1)), axis=-1)
 
 
+def _unit_scaled(points: np.ndarray) -> np.ndarray:
+    """Each row of points times 2^-e, e the exponent of its largest coordinate.
+
+    The power of two is exact and brings the largest coordinate into
+    [0.5, 1), so that whatever the contour's scale, products of coordinates
+    cannot overflow and underflow only where negligible against the largest.
+    """
+    parts = np.ascontiguousarray(points, dtype=np.complex128).view(np.float64)
+    _, e = np.frexp(np.max(np.abs(parts), axis=-1, keepdims=True))
+    return np.ldexp(parts, -e).view(np.complex128)
+
+
 def _signed_area(points: np.ndarray):
-    """Shoelace area (one per row); positive for counterclockwise vertex order.
+    """Shoelace area (one per row) up to a power of two; positive for counterclockwise order.
 
     Taken about each row's first vertex, so a polygon far from the origin
-    keeps its sign instead of losing it to cancellation.
+    keeps its sign instead of losing it to cancellation, and on coordinates
+    rescaled by :func:`_unit_scaled`, so the products keep it at any finite
+    scale.
     """
-    rel = points - points[..., :1]
+    rel = _unit_scaled(points - points[..., :1])
     nxt = np.roll(rel, -1, axis=-1)
     return 0.5 * np.sum(np.imag(np.conj(rel) * nxt), axis=-1)
 
@@ -189,17 +203,18 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
         raise DegenerateContourError("contour has zero signed area; orientation undefined")
     if area < 0.0:
         pts = pts[::-1].copy()
-    center = _arc_centroid(pts)
-    radii = np.abs(pts - center)
+    # decided on exactly rescaled points, so that no product over- or underflows
+    scaled = _unit_scaled(pts)
+    center = _arc_centroid(scaled)
+    radii = np.abs(scaled - center)
     rmax = float(radii.max())
     if not rmax > 0.0:
         raise DegenerateContourError("all contour points coincide with the center of mass")
     tol = 1e-9 * (2.0 * rmax)
     candidates = np.nonzero(radii >= rmax - tol)[0]
-    angles = np.mod(np.angle(pts[candidates] - center), 2.0 * np.pi)
+    angles = np.mod(np.angle(scaled[candidates] - center), 2.0 * np.pi)
     start = int(candidates[np.argmin(angles)])
-    rolled = np.roll(pts, -start)
-    return ParamCurve(rolled)
+    return ParamCurve(np.roll(pts, -start))
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:

@@ -117,19 +117,6 @@ def studentizing_variance(offset: np.ndarray, cov: ExtrinsicCovariance) -> float
     return max(0.0, float(q.real))
 
 
-def _studentized_core(sample: Sequence[Preshape], m0: Preshape) -> tuple[float, float, int]:
-    """Shared pipeline: returns (phi, s_n, n)."""
-    n = len(sample)
-    if n < 2:
-        raise ValueError(f"need at least 2 shapes, got {n}")
-    mean, eigen = extrinsic_mean(sample)
-    phi = squared_shape_distance(mean, m0)
-    cov = extrinsic_covariance(sample, eigen)
-    offset = tangent_offset(eigen, m0)
-    s = math.sqrt(studentizing_variance(offset, cov))
-    return phi, s, n
-
-
 def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConfig) -> TestResult:
     """Test whether the population mean shape lies within ``config.radius`` of m0.
 
@@ -138,7 +125,7 @@ def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConf
     variance vanishes (m0 coincides with the sample mean, or the sample is
     concentrated at a single shape), since the statistic cannot be formed.
     """
-    phi, s, n = _studentized_core(sample, m0)
+    radius, phi, s = critical_radius(sample, m0, config.alpha)
     # chord distances are bounded by sqrt(2), so s_n is an O(1)-scale quantity;
     # anything this small is roundoff, not variance
     if s < 1e-12:
@@ -147,33 +134,35 @@ def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConf
             "coincides with the sample mean shape, or the sample is concentrated "
             "at a single shape"
         )
-    xi = ndtri(1.0 - config.alpha)
-    t = math.sqrt(n) * (phi - config.radius**2) / s
-    p = ndtr(-t)
+    t = math.sqrt(len(sample)) * (phi - config.radius**2) / s
     return TestResult(
         squared_distance=phi,
         std_error=s,
         statistic=t,
-        p_value=p,
-        reject=t > xi,
-        critical_radius=_radius_at_level(phi, s, n, xi),
+        p_value=ndtr(-t),
+        reject=t > ndtri(1.0 - config.alpha),
+        critical_radius=radius,
     )
 
 
-def critical_radius(sample: Sequence[Preshape], m0: Preshape, alpha: float = 0.05) -> float:
+def critical_radius(
+    sample: Sequence[Preshape], m0: Preshape, alpha: float = 0.05
+) -> tuple[float, float, float]:
     """Largest neighborhood radius at which the null is rejected at level alpha.
 
     Solves T_n = xi_{1-alpha} for the radius: the squared solution is
     phi - xi s_n / sqrt(n), clamped at zero.  The test rejects at any smaller
     radius and fails to reject at any larger one.  Unlike the test itself
     this remains well defined when s_n = 0 (then the solution is simply phi).
+    Returns (radius, phi, s_n): the radius with the two statistics it solves from.
     """
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must lie in (0, 1)")
-    phi, s, n = _studentized_core(sample, m0)
-    return _radius_at_level(phi, s, n, ndtri(1.0 - alpha))
-
-
-def _radius_at_level(phi: float, s: float, n: int, xi: float) -> float:
-    """sqrt(max(0, phi - xi s_n / sqrt(n))): the radius where T_n = xi."""
-    return math.sqrt(max(0.0, phi - xi * s / math.sqrt(n)))
+    n = len(sample)
+    if n < 2:
+        raise ValueError(f"need at least 2 shapes, got {n}")
+    mean, eigen = extrinsic_mean(sample)
+    phi = squared_shape_distance(mean, m0)
+    cov = extrinsic_covariance(sample, eigen)
+    s = math.sqrt(studentizing_variance(tangent_offset(eigen, m0), cov))
+    return math.sqrt(max(0.0, phi - ndtri(1.0 - alpha) * s / math.sqrt(n))), phi, s

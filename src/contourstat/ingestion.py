@@ -54,6 +54,7 @@ __all__ = [
     "write_contour",
     "parse_manifest",
     "load_sample",
+    "read_curves",
 ]
 
 # ingestion-time point merging: closer than this fraction of the bounding-box
@@ -227,7 +228,10 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
     """
     if data.find(b"#", start) >= 0:
         data = data[:start] + _P2_COMMENT.sub(b"", data[start:])
-    values = np.empty(need, dtype=np.uint8 if maxval < 256 else np.uint16)
+    # n samples take at least 2n - 1 bytes: a header that claims more than the
+    # raster can hold gets no more room than that, and is reported truncated below
+    room = min(need, (len(data) - start + 1) // 2)
+    values = np.empty(room, dtype=np.uint8 if maxval < 256 else np.uint16)
     have = 0
     bad = None  # (chunk start, chunk end) of the first chunk with a bad sample
     pos = start
@@ -399,9 +403,7 @@ def parse_manifest(path) -> SampleManifest:
     except OSError as err:
         raise ManifestError(f"cannot read manifest {p}: {err}") from err
     entries: list[tuple[str, str]] = []
-    strategy = "shared-times"
-    k = 300
-    seed = 0
+    settings = {}  # the directives the file sets; SampleManifest holds the defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -410,21 +412,21 @@ def parse_manifest(path) -> SampleManifest:
         directive = fields[0]
         if directive == "seed" and len(fields) == 2:
             try:
-                seed = int(fields[1])
+                settings["seed"] = int(fields[1])
             except ValueError:
                 raise ManifestError(f"{p}:{lineno}: bad seed {fields[1]!r}") from None
         elif directive == "k" and len(fields) == 2:
             try:
-                k = int(fields[1])
+                settings["k"] = int(fields[1])
             except ValueError:
                 raise ManifestError(f"{p}:{lineno}: bad k {fields[1]!r}") from None
         elif directive == "correspondence" and len(fields) == 2:
-            strategy = fields[1]
+            settings["strategy"] = fields[1]
         elif directive == "contour" and len(fields) == 3:
             entries.append((fields[1], str((p.parent / fields[2]).resolve())))
         else:
             raise ManifestError(f"{p}:{lineno}: unrecognized directive {raw!r}")
-    return SampleManifest(entries=tuple(entries), strategy=strategy, k=k, seed=seed)
+    return SampleManifest(entries=tuple(entries), **settings)
 
 
 def load_sample(manifest: SampleManifest) -> tuple[list[Preshape], StoppingTimes]:
@@ -435,13 +437,13 @@ def load_sample(manifest: SampleManifest) -> tuple[list[Preshape], StoppingTimes
     returned preshapes share a dimension and a vertex correspondence.  Any
     per-file failure aborts with the offending entry id.
     """
-    curves = _read_curves(manifest)
+    curves = read_curves(manifest)
     times = build_correspondence(curves, manifest.strategy, manifest.k, _substream(manifest.seed))
     shapes = [preshape(evaluate(curve, times)) for curve in curves]
     return shapes, times
 
 
-def _read_curves(manifest: SampleManifest) -> list[ParamCurve]:
+def read_curves(manifest: SampleManifest) -> list[ParamCurve]:
     """Read and canonicalize every manifest contour; a failure names its entry id."""
     curves = []
     for cid, cpath in manifest.entries:

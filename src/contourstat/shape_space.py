@@ -17,6 +17,8 @@ and :func:`eigensystem` are the explicit k x k forms, for matrices a caller
 supplies.  Distances, covariances and tangent coordinates are computed
 through inner-product shortcuts on the returned eigenvectors, which are
 validated against explicit Hilbert-Schmidt arithmetic in the test suite.
+:func:`approximation_errors` measures how far random k-gons of a contour
+are from it, in length and in shape.
 """
 
 from __future__ import annotations
@@ -27,13 +29,22 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import Contour, _freeze
+from .contour import (
+    Contour,
+    ParamCurve,
+    _cum_lengths,
+    _freeze,
+    _interpolate,
+    _require_polygons,
+    _substream,
+    _unit_scaled,
+    select_stopping_times,
+)
 from .errors import DegenerateContourError, FocalDistributionError
 
 __all__ = [
     "DEFAULT_GAP_TOL",
     "Preshape",
-    "VWMatrix",
     "EigenSystem",
     "ExtrinsicCovariance",
     "preshape",
@@ -42,6 +53,7 @@ __all__ = [
     "eigensystem",
     "extrinsic_mean",
     "extrinsic_covariance",
+    "approximation_errors",
 ]
 
 # Relative spectral gaps below this are treated as focal: the mean direction
@@ -74,33 +86,6 @@ class Preshape:
     @property
     def dimension(self) -> int:
         return len(self.coords)
-
-
-@dataclass(frozen=True, eq=False)
-class VWMatrix:
-    """Hermitian trace-one k x k matrix: an embedded shape or an average of them.
-
-    Positive semidefiniteness holds by construction for every matrix built
-    here (rank-one projectors and convex combinations of them) and is
-    asserted where eigenvalues are computed.
-    """
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise ValueError("matrix is not Hermitian within 1e-12")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-10:
-            raise ValueError(f"matrix trace must be 1, got {tr!r}")
-        object.__setattr__(self, "entries", _freeze(m))
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,6 +155,7 @@ def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
 
 def _preshape_rows(points: np.ndarray) -> np.ndarray:
     """Preshape coordinates of each row of points: the kernel of :func:`preshape`."""
+    points = _unit_scaled(points)  # exact, and the norm can neither overflow nor underflow
     centered = points - points.mean(axis=1, keepdims=True)
     # second pass kills roundoff from large offsets
     centered = centered - centered.mean(axis=1, keepdims=True)
@@ -213,18 +199,18 @@ def _stack(sample: Sequence[Preshape]) -> np.ndarray:
     return np.stack([s.coords for s in sample])
 
 
-def mean_matrix(sample: Sequence[Preshape]) -> VWMatrix:
-    """Average of the embedded matrices (1/n) sum gamma_i gamma_i^H."""
+def mean_matrix(sample: Sequence[Preshape]) -> np.ndarray:
+    """Average of the embedded matrices (1/n) sum gamma_i gamma_i^H, symmetrized."""
     if len(sample) == 0:
         raise ValueError("empty sample")
     gam = _stack(sample)
     m = gam.T @ gam.conj() / len(sample)
-    return VWMatrix((m + m.conj().T) / 2.0)
+    return (m + m.conj().T) / 2.0
 
 
-def eigensystem(m: VWMatrix | np.ndarray) -> EigenSystem:
+def eigensystem(m: np.ndarray) -> EigenSystem:
     """Full descending Hermitian eigendecomposition with a fixed phase convention."""
-    a = m.entries if isinstance(m, VWMatrix) else np.asarray(m, dtype=np.complex128)
+    a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     scale = max(1.0, float(np.max(np.abs(a))))
@@ -302,3 +288,53 @@ def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> Extr
     cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (n * np.outer(gaps, gaps))
     return ExtrinsicCovariance((cov + cov.conj().T) / 2.0)
 
+
+def approximation_errors(
+    curves: Sequence[ParamCurve], k_grid: Sequence[int], repeats: int, seed: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Relative length errors and squared shape distances of random k-gons, per k.
+
+    For each k, repeat and curve, a fresh set of k stopping times is drawn
+    from a substream keyed by (seed, k-index, repeat), one draw per curve in
+    order.  When k equals a curve's own vertex count its vertex fractions are
+    used instead and nothing is drawn (the k-gon is the curve itself), so the
+    errors are exactly zero.  Returns two (len(k_grid), repeats * len(curves))
+    arrays, each row in draw order: repeat-major, curve-minor.
+    """
+    rows = []
+    for ki, k in enumerate(k_grid):
+        times = [[] for _ in curves]
+        for rep in range(repeats):
+            rng = _substream(seed, ki, rep)
+            for curve_times, curve in zip(times, curves):
+                if k == len(curve):
+                    curve_times.append(curve.cum_lengths[:-1] / curve.total_length)
+                else:
+                    curve_times.append(select_stopping_times(k, rng).times)
+        errs = np.array([_approx_rows(c, np.array(t)) for c, t in zip(curves, times)])
+        # (curve, kind, repeat) -> per kind in draw order
+        rows.append(errs.transpose(1, 2, 0).reshape(2, -1))
+    len_errs, shape_sqs = np.stack(rows, axis=1)
+    return len_errs, shape_sqs
+
+
+def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Relative length error and squared shape distance of the k-gon at each row of times.
+
+    Each k-gon is parameterized by its own arclength and evaluated at the
+    contour's vertex fractions; the shape error is the squared chord distance
+    from that configuration to the contour's vertices.
+    """
+    kgons = _interpolate(curve.cum_lengths[None], curve.vertices[None], times)
+    _require_polygons(kgons)
+    cum = _cum_lengths(kgons)
+    if np.any(np.diff(cum, axis=1) <= 0):
+        raise DegenerateContourError("k-gon arclength is not strictly increasing")
+    len_errs = (curve.total_length - cum[:, -1]) / curve.total_length
+    ref_fracs = curve.cum_lengths[:-1] / curve.total_length
+    # a configuration, not a contour: a zero-area k-gon maps reference
+    # fractions f and 1 - f about its turning point to one point
+    kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
+    ref = _preshape_rows(curve.vertices[None])[0]
+    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(kgons_at_ref)]
+    return len_errs, np.array(shape_sqs)

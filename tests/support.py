@@ -5,10 +5,12 @@ explicit Hilbert-Schmidt arithmetic (materialized frames, term-by-term sums)
 so the fast inner-product shortcuts can be checked against them.
 """
 
+from dataclasses import dataclass
+
 import numpy as np
 
 import contourstat as cs
-from contourstat.contour import _arc_centroid, _interpolate, _signed_area
+from contourstat.contour import _arc_centroid, _freeze, _interpolate, _signed_area
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -72,7 +74,7 @@ def estimate_population_mean(base, frame, tau, ndraws, seed):
         M += g.T @ g.conj()
         left -= take
     M /= ndraws
-    es = cs.eigensystem(cs.VWMatrix((M + M.conj().T) / 2.0))
+    es = cs.eigensystem(VWMatrix((M + M.conj().T) / 2.0).entries)
     return cs.preshape(es.eigenvectors[:, 0])
 
 
@@ -80,10 +82,33 @@ def estimate_population_mean(base, frame, tau, ndraws, seed):
 # explicit Hilbert-Schmidt oracles
 
 
+@dataclass(frozen=True, eq=False)
+class VWMatrix:
+    """Hermitian trace-one k x k matrix: an embedded shape or an average of them.
+
+    Positive semidefiniteness holds by construction for every matrix built
+    here (rank-one projectors and convex combinations of them) and is
+    asserted where eigenvalues are computed.
+    """
+
+    entries: np.ndarray
+
+    def __post_init__(self):
+        m = np.asarray(self.entries, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"expected a square matrix, got shape {m.shape}")
+        if np.max(np.abs(m - m.conj().T)) > 1e-12:
+            raise ValueError("matrix is not Hermitian within 1e-12")
+        tr = np.trace(m)
+        if abs(tr - 1.0) > 1e-10:
+            raise ValueError(f"matrix trace must be 1, got {tr!r}")
+        object.__setattr__(self, "entries", _freeze(m))
+
+
 def vw_embed(shape):
     """Veronese-Whitney embedding: the rank-one projector gamma gamma^H."""
     g = shape.coords
-    return cs.VWMatrix(np.outer(g, g.conj()))
+    return VWMatrix(np.outer(g, g.conj()))
 
 
 def require_gap(eigen, gap_tol=cs.DEFAULT_GAP_TOL):
@@ -94,11 +119,14 @@ def require_gap(eigen, gap_tol=cs.DEFAULT_GAP_TOL):
 
 
 def project_to_manifold(a, gap_tol=cs.DEFAULT_GAP_TOL):
-    """Closest rank-one projector: nu nu^H for the top unit eigenvector nu of a."""
-    es = cs.eigensystem(a)
+    """Closest rank-one projector: nu nu^H for the top unit eigenvector nu of a.
+
+    ``a`` is a Hermitian array or a :class:`VWMatrix`.
+    """
+    es = cs.eigensystem(a.entries if isinstance(a, VWMatrix) else a)
     require_gap(es, gap_tol)
     nu = es.eigenvectors[:, 0]
-    return cs.VWMatrix(np.outer(nu, nu.conj()))
+    return VWMatrix(np.outer(nu, nu.conj()))
 
 
 def tangent_coordinates(v, eigen):
@@ -382,7 +410,7 @@ def assert_outer_boundary_walk(mask, trace):
 
 
 def approx_one(curve, k, rng):
-    """Scalar oracle for one row of ``cli._approx_rows``: one k-gon through the scalar chain.
+    """Scalar oracle for one row of ``shape_space._approx_rows``: one k-gon, the scalar chain.
 
     Returns (relative length error, squared shape distance) of the k-gon at
     ``select_stopping_times(k, rng)``, or at the curve's own vertex fractions

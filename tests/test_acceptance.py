@@ -139,7 +139,7 @@ def test_06_critical_radius_inversion():
     for seed in range(100):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=555, spawn_key=(seed,)))
         sample = draw_tangent_gaussian(base, frame, 0.15, 25, rng)
-        crit = cs.critical_radius(sample, m0, alpha=0.05)
+        crit, _, _ = cs.critical_radius(sample, m0, alpha=0.05)
         assert crit > 0
         low = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.999 * crit, alpha=0.05))
         high = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=1.001 * crit, alpha=0.05))

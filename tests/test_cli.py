@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +8,9 @@ from hypothesis import strategies as st
 
 import contourstat as cs
 from contourstat import cli, shape_space
-from contourstat.cli import _approx_rows, main
+from contourstat.cli import main
 from contourstat.contour import _signed_area
+from contourstat.shape_space import _approx_rows
 from support import approx_one, svg_path_coords, wobbly_points
 
 
@@ -74,6 +78,24 @@ class TestContoursFarFromOrigin:
             for o in ("o_far", "o_near")
         )
         assert cs.chord_distance(got, want) < 1e-5
+
+
+class TestContoursOfExtremeScale:
+    """A contour scaled far beyond unit size, or far below it, has the shape of its unit twin."""
+
+    @pytest.mark.parametrize("scale", [1e154, 1e200, 1e-300])
+    def test_mean_with_a_scaled_copy_is_the_mean_with_the_copy(self, tmp_path, capsys, scale):
+        other = wobbly_points(200, amp3=0.3, phase=0.4)
+        for name, pts in (("a", wobbly_points(200)), ("b", other), ("c", other * scale)):
+            cs.write_contour(cs.Contour(pts), tmp_path / f"{name}.csv")
+        scaled, twin = tmp_path / "scaled.manifest", tmp_path / "twin.manifest"
+        scaled.write_text("seed 1\nk 8\ncontour a a.csv\ncontour b b.csv\ncontour c c.csv\n")
+        twin.write_text("seed 1\nk 8\ncontour a a.csv\ncontour b b.csv\ncontour c b.csv\n")
+        assert main(["mean", "--manifest", str(scaled), "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().err == ""
+        got = cs.preshape(cs.read_contour(tmp_path / "out" / "mean_shape.csv"))
+        want, _ = cs.extrinsic_mean(cs.load_sample(cs.parse_manifest(twin))[0])
+        assert cs.chord_distance(got, want) < 1e-10
 
 
 class TestTestCommand:
@@ -275,7 +297,7 @@ class TestWorkDoneOncePerCommand:
         result = cs.neighborhood_test(shapes, m0, cs.TestConfig(0.05, alpha=0.1))
         assert f"phi             {result.squared_distance:.10g}\n" in solved
         assert f"s_n             {result.std_error:.10g}\n" in solved
-        assert f"critical_delta  {cs.critical_radius(shapes, m0, 0.1):.10g}\n" in solved
+        assert f"critical_delta  {cs.critical_radius(shapes, m0, 0.1)[0]:.10g}\n" in solved
 
 
 def refuse_dense(*args):
@@ -550,6 +572,27 @@ def dent_points():
     return np.concatenate(([-3, 0, 1 - 1j, 2, 1 + 1j], sag))
 
 
+class TestApproximationErrors:
+    """One substream per (seed, k-index, repeat), and from it one k-gon per curve in order."""
+
+    def test_equals_the_scalar_oracle_in_draw_order(self):
+        curves = [
+            cs.canonicalize(cs.Contour(wobbly_points(K, phase=0.3 * K))) for K in (12, 30, 17)
+        ]
+        k_grid, repeats, seed = (5, 12, 8), 3, 21
+        len_errs, shape_sqs = cs.approximation_errors(curves, k_grid, repeats, seed)
+        assert len_errs.shape == shape_sqs.shape == (3, repeats * len(curves))
+        for ki, k in enumerate(k_grid):
+            expected = []
+            for rep in range(repeats):
+                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ki, rep)))
+                expected += [approx_one(curve, k, rng) for curve in curves]
+            assert len_errs[ki].tolist() == [e[0] for e in expected]
+            assert shape_sqs[ki].tolist() == [e[1] for e in expected]
+        # k = 12 is the first curve's own vertex count: its k-gons are the curve itself
+        assert len_errs[1, ::3].tolist() == [0.0] * repeats
+
+
 def assert_rows_equal_oracle(curve, k, seeds):
     """_approx_rows on one batch is bit for bit the scalar oracle looped over it."""
     expected = [approx_one(curve, k, np.random.default_rng(seed)) for seed in seeds]
@@ -631,6 +674,24 @@ class TestApproxRowsOracle:
             m2, s2 = float(np.mean(shape_sqs)), float(np.std(shape_sqs))
             report.append(f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}")
         assert (out / "approx_report.csv").read_bytes() == ("\n".join(report) + "\n").encode()
+
+
+class TestCliImports:
+    """The CLI does I/O through the public library: no private name crosses into it."""
+
+    def test_no_private_name_from_another_module(self):
+        tree = ast.parse(Path(cli.__file__).read_text())
+        names = []  # dotted path of every name cli imports from the package
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                if node.level or module.split(".")[0] == "contourstat":
+                    names += [f"{module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Import):
+                names += [a.name for a in node.names if a.name.startswith("contourstat")]
+        assert "inference.neighborhood_test" in names
+        private = [n for n in names if any(part.startswith("_") for part in n.split("."))]
+        assert private == []
 
 
 class TestPlotCommand:

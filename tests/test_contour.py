@@ -2,6 +2,8 @@ import inspect
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contourstat as cs
 from contourstat.contour import _require_polygons, _signed_area
@@ -114,6 +116,27 @@ class TestFarFromOrigin:
                 got = cs.canonicalize(cs.Contour(pts)).vertices - offset
                 assert abs(got[0] - ref[0]) < 1e-5
                 assert abs(got[1] - ref[1]) < 1e-5
+
+
+def start_and_step(points, curve):
+    """Index in points of the curve's start vertex, and +1 or -1 for its direction through them."""
+    i = int(np.flatnonzero(points == curve.vertices[0])[0])
+    return i, 1 if curve.vertices[1] == points[(i + 1) % len(points)] else -1
+
+
+class TestAnyScale:
+    """Canonicalization and preshapes are exact under scale: no product over- or underflows."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponent=st.integers(-300, 300), phase=st.floats(0.0, 6.3), reverse=st.booleans())
+    def test_start_direction_and_preshape_match_the_unit_contour(self, exponent, phase, reverse):
+        base = wobbly_points(200, phase=phase)[:: -1 if reverse else 1]
+        scaled = base * 10.0**exponent
+        ref, got = cs.canonicalize(cs.Contour(base)), cs.canonicalize(cs.Contour(scaled))
+        assert start_and_step(scaled, got) == start_and_step(base, ref)
+        times = cs.select_stopping_times(30, np.random.default_rng(exponent + 300))
+        want = cs.preshape(cs.evaluate(ref, times)).coords
+        assert np.max(np.abs(cs.preshape(cs.evaluate(got, times)).coords - want)) < 1e-12
 
 
 class TestCenterOfMass:

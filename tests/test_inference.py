@@ -143,7 +143,7 @@ class TestNeighborhoodTest:
     def test_internal_consistency_reject_iff_radius_below_critical(self):
         sample = noisy_sample(7, 20, seed=19)
         m0 = random_preshape(7, np.random.default_rng(20))
-        crit = cs.critical_radius(sample, m0, alpha=0.05)
+        crit, _, _ = cs.critical_radius(sample, m0, alpha=0.05)
         assert crit > 0
         xi = float(ndtri(0.95))
         for factor in (0.7, 0.9, 0.999999, 1.000001, 1.1, 1.5):
@@ -221,7 +221,7 @@ class TestCriticalRadius:
     def test_hypothesis_at_mean_gives_zero(self):
         sample = noisy_sample(6, 10, seed=32)
         mean, _ = cs.extrinsic_mean(sample)
-        assert cs.critical_radius(sample, mean, alpha=0.05) == 0.0
+        assert cs.critical_radius(sample, mean, alpha=0.05)[0] == 0.0
 
     def test_inversion_property(self):
         k = 6
@@ -231,12 +231,19 @@ class TestCriticalRadius:
         for seed in range(10):
             rng = np.random.default_rng(seed)
             sample = draw_tangent_gaussian(base, frame, 0.15, 25, rng)
-            crit = cs.critical_radius(sample, m0, alpha=0.05)
+            crit, _, _ = cs.critical_radius(sample, m0, alpha=0.05)
             assert crit > 0
             low = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.999 * crit, alpha=0.05))
             high = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=1.001 * crit, alpha=0.05))
             assert low.reject
             assert not high.reject
+
+    def test_returns_the_test_statistics_it_solves_from(self):
+        sample = noisy_sample(7, 20, seed=19)
+        m0 = random_preshape(7, np.random.default_rng(20))
+        radius, phi, s = cs.critical_radius(sample, m0, alpha=0.1)
+        res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.2, alpha=0.1))
+        assert (radius, phi, s) == (res.critical_radius, res.squared_distance, res.std_error)
 
     def test_invalid_alpha(self):
         sample = noisy_sample(5, 8, seed=33)

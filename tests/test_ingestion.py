@@ -358,6 +358,16 @@ class TestReadP2:
             peak_kb[name] = int(proc.stdout.split()[-1])
         assert peak_kb["m2.pgm"] - peak_kb["m5.pgm"] <= 15 * 1024, peak_kb
 
+    def test_header_larger_than_the_file_is_truncated_not_allocated(self, tmp_path, capsys):
+        f = tmp_path / "m.pgm"
+        f.write_bytes(b"P2\n3000000000 128\n255\n0\n")
+        assert len(f.read_bytes()) == 24
+        man = tmp_path / "s.manifest"
+        man.write_text("contour m m.pgm\n")
+        assert main(["plot", "--manifest", str(man), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "P2 raster truncated: have 1 samples, need 384000000000" in err
+
     @pytest.mark.parametrize("sample", ["-1", "70000"])
     def test_out_of_range_sample_exits_two(self, tmp_path, capsys, sample):
         f = tmp_path / "m.pgm"
