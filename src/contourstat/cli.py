@@ -26,7 +26,7 @@ import numpy as np
 from .bootstrap import align_rotation, bootstrap_region
 from .contour import Contour, StoppingTimes, canonicalize, evaluate
 from .errors import ContourStatError
-from .inference import TestConfig, critical_radius, neighborhood_test
+from .inference import critical_radius, neighborhood_test
 from .ingestion import (
     SampleManifest,
     load_sample,
@@ -216,7 +216,7 @@ def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
     if args.delta is not None:
-        result = neighborhood_test(shapes, m0, TestConfig(args.delta, args.alpha))
+        result = neighborhood_test(shapes, m0, args.delta, args.alpha)
         print(f"delta           {args.delta:.10g}")
         print(f"phi             {result.squared_distance:.10g}")
         print(f"s_n             {result.std_error:.10g}")

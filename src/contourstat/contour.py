@@ -11,6 +11,7 @@ correspondence between its members.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,17 +68,33 @@ def _unit_scaled(points: np.ndarray) -> np.ndarray:
     return np.ldexp(parts, -e).view(np.complex128)
 
 
-def _signed_area(points: np.ndarray):
-    """Shoelace area (one per row) up to a power of two; positive for counterclockwise order.
+def _signed_area(points: np.ndarray) -> float:
+    """Shoelace area of a polygon up to a power of two; positive for counterclockwise order.
 
-    Taken about each row's first vertex, so a polygon far from the origin
+    Taken about the lexicographically smallest vertex (numpy orders complex
+    values by real, then imaginary part), so a polygon far from the origin
     keeps its sign instead of losing it to cancellation, and on coordinates
     rescaled by :func:`_unit_scaled`, so the products keep it at any finite
-    scale.
+    scale.  That vertex and the terms, formed from real products, do not
+    depend on where the vertex order starts, and ``math.fsum`` adds them
+    exactly: every rotation of the order gives the same area and its reversal
+    the negated one, even for a sliver whose area is roundoff.
     """
-    rel = _unit_scaled(points - points[..., :1])
-    nxt = np.roll(rel, -1, axis=-1)
-    return 0.5 * np.sum(np.imag(np.conj(rel) * nxt), axis=-1)
+    rel = _unit_scaled(points - points.min())
+    nxt = np.roll(rel, -1)
+    return 0.5 * math.fsum((rel.real * nxt.imag - rel.imag * nxt.real).tolist())
+
+
+def _require_finite(points: np.ndarray) -> None:
+    """Reject a contour with a coordinate that is not finite, or whose perimeter overflows."""
+    if not np.all(np.isfinite(points)):
+        raise DegenerateContourError("contour has a coordinate that is not finite")
+    with np.errstate(over="ignore"):
+        perimeter = np.sum(np.abs(_closed_edges(points)))
+    if not np.isfinite(perimeter):
+        raise DegenerateContourError(
+            "contour coordinates are too large: the contour's perimeter overflows"
+        )
 
 
 def _require_polygons(points: np.ndarray) -> None:
@@ -107,8 +124,9 @@ def _arc_centroid(points: np.ndarray) -> complex:
 class Contour:
     """Closed polygonal contour: ordered vertices, last joined implicitly to first.
 
-    Requires at least 3 distinct vertices and no two equal consecutive
-    vertices (the closing pair included).  Simplicity is *not* enforced.
+    Requires finite coordinates, a perimeter that does not overflow, at
+    least 3 distinct vertices and no two equal consecutive vertices (the
+    closing pair included).  Simplicity is *not* enforced.
     """
 
     points: np.ndarray
@@ -117,6 +135,7 @@ class Contour:
         pts = _as_complex_vector(self.points)
         if len(pts) < 3:
             raise DegenerateContourError(f"contour needs >= 3 points, got {len(pts)}")
+        _require_finite(pts)
         _require_polygons(pts)
         object.__setattr__(self, "points", _freeze(pts))
 

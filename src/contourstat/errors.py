@@ -1,12 +1,22 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "ContourStatError",
+    "DegenerateContourError",
+    "FocalDistributionError",
+    "DegenerateVarianceError",
+    "ParseError",
+    "MaskError",
+    "ManifestError",
+]
+
 
 class ContourStatError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
 class DegenerateContourError(ContourStatError):
-    """Point set too degenerate to carry shape information."""
+    """Point set too degenerate to carry shape information, or not finite."""
 
 
 class FocalDistributionError(ContourStatError):

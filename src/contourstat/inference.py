@@ -29,7 +29,6 @@ from ._normal import ndtr, ndtri
 from .errors import DegenerateVarianceError
 from .shape_space import (
     EigenSystem,
-    ExtrinsicCovariance,
     Preshape,
     chord_distance,
     extrinsic_covariance,
@@ -37,7 +36,6 @@ from .shape_space import (
 )
 
 __all__ = [
-    "TestConfig",
     "TestResult",
     "squared_shape_distance",
     "tangent_offset",
@@ -48,25 +46,11 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TestConfig:
-    """Neighborhood radius (chord-distance units) and asymptotic level."""
-
-    radius: float
-    alpha: float = 0.05
-
-    def __post_init__(self):
-        if not self.radius > 0.0:
-            raise ValueError("radius must be positive")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class TestResult:
     """Outcome of the neighborhood test.
 
     ``critical_radius`` is the largest neighborhood radius at which the null
-    would still be rejected at the configured level.
+    would still be rejected at the test's level.
     """
 
     squared_distance: float  # phi: squared chord distance from mean to m0
@@ -99,17 +83,18 @@ def tangent_offset(eigen: EigenSystem, m0: Preshape) -> np.ndarray:
     return np.sqrt(2.0) * p[1:] * np.conj(p[0])
 
 
-def studentizing_variance(offset: np.ndarray, cov: ExtrinsicCovariance) -> float:
+def studentizing_variance(offset: np.ndarray, cov: np.ndarray) -> float:
     """4 <offset, S offset>: the plug-in variance of the test statistic.
 
-    The Hermitian quadratic form is real up to roundoff; the imaginary part
-    is checked below 1e-10 and discarded, and small negative values are
-    clamped to zero.
+    ``cov`` is the Hermitian extrinsic covariance S of
+    :func:`extrinsic_covariance`.  The Hermitian quadratic form is real up to
+    roundoff; the imaginary part is checked below 1e-10 and discarded, and
+    small negative values are clamped to zero.
     """
     offset = np.asarray(offset, dtype=np.complex128)
-    if offset.shape != (cov.dimension,):
-        raise ValueError(f"offset has shape {offset.shape}, expected ({cov.dimension},)")
-    q = 4.0 * (offset.conj() @ cov.entries @ offset)
+    if offset.shape != (len(cov),):
+        raise ValueError(f"offset has shape {offset.shape}, expected ({len(cov)},)")
+    q = 4.0 * (offset.conj() @ cov @ offset)
     if abs(q.imag) > 1e-10:
         raise ValueError(f"quadratic form is not real: imaginary part {q.imag:.3e}")
     if q.real < -1e-10:
@@ -117,15 +102,20 @@ def studentizing_variance(offset: np.ndarray, cov: ExtrinsicCovariance) -> float
     return max(0.0, float(q.real))
 
 
-def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConfig) -> TestResult:
-    """Test whether the population mean shape lies within ``config.radius`` of m0.
+def neighborhood_test(
+    sample: Sequence[Preshape], m0: Preshape, radius: float, alpha: float = 0.05
+) -> TestResult:
+    """Test at level alpha whether the population mean shape lies within ``radius`` of m0.
 
-    Raises :class:`FocalDistributionError` when the extrinsic mean is
-    undefined and :class:`DegenerateVarianceError` when the studentizing
-    variance vanishes (m0 coincides with the sample mean, or the sample is
-    concentrated at a single shape), since the statistic cannot be formed.
+    ``radius`` is in chord-distance units.  Raises
+    :class:`FocalDistributionError` when the extrinsic mean is undefined and
+    :class:`DegenerateVarianceError` when the studentizing variance vanishes
+    (m0 coincides with the sample mean, or the sample is concentrated at a
+    single shape), since the statistic cannot be formed.
     """
-    radius, phi, s = critical_radius(sample, m0, config.alpha)
+    if not radius > 0.0:
+        raise ValueError("radius must be positive")
+    crit, phi, s = critical_radius(sample, m0, alpha)
     # chord distances are bounded by sqrt(2), so s_n is an O(1)-scale quantity;
     # anything this small is roundoff, not variance
     if s < 1e-12:
@@ -134,14 +124,14 @@ def neighborhood_test(sample: Sequence[Preshape], m0: Preshape, config: TestConf
             "coincides with the sample mean shape, or the sample is concentrated "
             "at a single shape"
         )
-    t = math.sqrt(len(sample)) * (phi - config.radius**2) / s
+    t = math.sqrt(len(sample)) * (phi - radius**2) / s
     return TestResult(
         squared_distance=phi,
         std_error=s,
         statistic=t,
         p_value=ndtr(-t),
-        reject=t > ndtri(1.0 - config.alpha),
-        critical_radius=radius,
+        reject=t > ndtri(1.0 - alpha),
+        critical_radius=crit,
     )
 
 

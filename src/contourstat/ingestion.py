@@ -39,6 +39,7 @@ from .contour import (
     Contour,
     ParamCurve,
     StoppingTimes,
+    _require_finite,
     _signed_area,
     _substream,
     build_correspondence,
@@ -104,9 +105,9 @@ def _read_csv(path: Path) -> Contour:
 
 
 def _build_contour(points: np.ndarray, path: Path) -> Contour:
-    merged = _merge_close_points(points)
     try:
-        return Contour(merged)
+        _require_finite(points)  # before the bounding box of the merge can overflow
+        return Contour(_merge_close_points(points))
     except DegenerateContourError as err:
         raise ParseError(path, None, str(err)) from err
 
@@ -402,6 +403,8 @@ def parse_manifest(path) -> SampleManifest:
         text = p.read_text(encoding="utf-8")
     except OSError as err:
         raise ManifestError(f"cannot read manifest {p}: {err}") from err
+    except UnicodeDecodeError as err:
+        raise ManifestError(f"manifest {p} is not UTF-8 text: {err}") from err
     entries: list[tuple[str, str]] = []
     settings = {}  # the directives the file sets; SampleManifest holds the defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):

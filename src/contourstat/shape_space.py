@@ -46,7 +46,6 @@ __all__ = [
     "DEFAULT_GAP_TOL",
     "Preshape",
     "EigenSystem",
-    "ExtrinsicCovariance",
     "preshape",
     "chord_distance",
     "mean_matrix",
@@ -124,25 +123,6 @@ class EigenSystem:
         """Top spectral gap: largest eigenvalue minus the second largest (0 if not listed)."""
         second = self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
         return float(self.eigenvalues[0] - second)
-
-
-@dataclass(frozen=True, eq=False)
-class ExtrinsicCovariance:
-    """Extrinsic sample covariance in tangent coordinates: (r-1) x (r-1) Hermitian."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.entries, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
-            raise ValueError("covariance is not Hermitian within 1e-10")
-        object.__setattr__(self, "entries", _freeze(m))
-
-    @property
-    def dimension(self) -> int:
-        return self.entries.shape[0]
 
 
 def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
@@ -264,10 +244,11 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     return preshape(es.eigenvectors[:, 0]), es
 
 
-def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> ExtrinsicCovariance:
+def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.ndarray:
     """Extrinsic sample covariance in the tangent coordinates at the mean.
 
-    Entry (a, b), for a, b = 2..r over the r eigenpairs of ``eigen``, is
+    A read-only (r-1) x (r-1) Hermitian array whose entry (a, b), for
+    a, b = 2..r over the r eigenpairs of ``eigen``, is
 
         n^-1 (l_1 - l_a)^-1 (l_1 - l_b)^-1
             sum_i <e_a, gamma_i> <e_b, gamma_i>* |<e_1, gamma_i>|^2
@@ -286,7 +267,7 @@ def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> Extr
     weighted = proj[:, 1:] * np.abs(proj[:, :1])
     gaps = eigen.eigenvalues[0] - eigen.eigenvalues[1:]
     cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (n * np.outer(gaps, gaps))
-    return ExtrinsicCovariance((cov + cov.conj().T) / 2.0)
+    return _freeze((cov + cov.conj().T) / 2.0)
 
 
 def approximation_errors(

@@ -119,12 +119,11 @@ def test_05_test_calibration_at_the_null_boundary():
     mu_pop = estimate_population_mean(base, frame, tau, 1_000_000, seed=777)
     m0 = cs.preshape(np.sqrt(1 - 0.45**2) * base + 0.45 * frame[:, 0])
     delta = cs.chord_distance(mu_pop, m0)  # population phi = delta^2 by construction
-    config = cs.TestConfig(radius=delta, alpha=alpha)
     rejects = 0
     for rep in range(reps):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=1234, spawn_key=(rep,)))
         sample = draw_tangent_gaussian(base, frame, tau, n, rng)
-        rejects += cs.neighborhood_test(sample, m0, config).reject
+        rejects += cs.neighborhood_test(sample, m0, radius=delta, alpha=alpha).reject
     rate = rejects / reps
     report(5, f"test calibration (rate {rate:.4f})", 0.03 <= rate <= 0.07, started)
 
@@ -141,8 +140,8 @@ def test_06_critical_radius_inversion():
         sample = draw_tangent_gaussian(base, frame, 0.15, 25, rng)
         crit, _, _ = cs.critical_radius(sample, m0, alpha=0.05)
         assert crit > 0
-        low = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.999 * crit, alpha=0.05))
-        high = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=1.001 * crit, alpha=0.05))
+        low = cs.neighborhood_test(sample, m0, radius=0.999 * crit, alpha=0.05)
+        high = cs.neighborhood_test(sample, m0, radius=1.001 * crit, alpha=0.05)
         violations += int(not low.reject) + int(high.reject)
     report(6, "critical-radius inversion", violations == 0, started)
 

@@ -1,4 +1,5 @@
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,63 @@ class TestContoursOfExtremeScale:
         got = cs.preshape(cs.read_contour(tmp_path / "out" / "mean_shape.csv"))
         want, _ = cs.extrinsic_mean(cs.load_sample(cs.parse_manifest(twin))[0])
         assert cs.chord_distance(got, want) < 1e-10
+
+
+def write_points(path, points):
+    """CSV of points that need not form a valid Contour."""
+    path.write_text("".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in points))
+
+
+class TestCoordinatesThatOverflow:
+    """A contour whose perimeter overflows is named as such, without a warning on the way."""
+
+    def run_mean(self, tmp_path, scale):
+        for i in range(2):
+            cs.write_contour(cs.Contour(wobbly_points(40, phase=0.3 * i)), tmp_path / f"w{i}.csv")
+        write_points(tmp_path / "big.csv", wobbly_points(40, phase=0.6) * scale)
+        man = tmp_path / "big.manifest"
+        man.write_text("k 8\nseed 1\ncontour a w0.csv\ncontour b w1.csv\ncontour c big.csv\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return main(["mean", "--manifest", str(man), "--out", str(tmp_path / "out")])
+
+    @pytest.mark.parametrize("scale", [5e307, 1e308])
+    def test_exit_two_naming_the_overflow(self, tmp_path, capsys, scale):
+        assert self.run_mean(tmp_path, scale) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: entry 'c': ")
+        assert "big.csv: contour coordinates are too large: the contour's perimeter overflows" in err
+
+    def test_finite_perimeter_still_runs(self, tmp_path, capsys):
+        assert self.run_mean(tmp_path, 1e307) == 0
+        assert capsys.readouterr().err == ""
+
+
+SLIVER = """\
+0.28151077667844548,-0.34365107895363711
+-1.1898560017226161,-1.1455586763709684
+-1.6199170865423789,-1.3799456805721082
+-1.8048049516331217,-1.4807111632939995
+-2.3651154899324043,-1.7860852441628525
+-2.7193721077584279,-1.9791581593871368
+-2.3651154899324043,-1.7860852441628525
+-1.8048049516331217,-1.4807111632939995
+-1.6199170865423789,-1.3799456805721082
+-1.1898560017226159,-1.1455586763709684
+"""
+
+
+def test_sliver_contour_ends_without_a_traceback(tmp_path, capsys):
+    # out along a line and back: the signed area is roundoff, so unless its sign
+    # is the same from every start vertex the canonical curve fails its own check
+    for i in range(3):
+        pts = wobbly_points(40) * (1 + 0.01 * np.random.default_rng(i).standard_normal(40))
+        cs.write_contour(cs.Contour(pts), tmp_path / f"w{i}.csv")
+    (tmp_path / "sliver.csv").write_text(SLIVER)
+    man = tmp_path / "sliver.manifest"
+    entries = "".join(f"contour {name} {name}.csv\n" for name in ("w0", "w1", "w2", "sliver"))
+    man.write_text("k 8\nseed 1\n" + entries)
+    assert main(["mean", "--manifest", str(man), "--out", str(tmp_path / "out")]) in (0, 2)
 
 
 class TestTestCommand:
@@ -294,7 +352,7 @@ class TestWorkDoneOncePerCommand:
         solved = capsys.readouterr().out
         shapes, times = cs.load_sample(cs.parse_manifest(man))
         m0 = cs.preshape(cs.evaluate(cs.canonicalize(cs.read_contour(hyp)), times))
-        result = cs.neighborhood_test(shapes, m0, cs.TestConfig(0.05, alpha=0.1))
+        result = cs.neighborhood_test(shapes, m0, 0.05, alpha=0.1)
         assert f"phi             {result.squared_distance:.10g}\n" in solved
         assert f"s_n             {result.std_error:.10g}\n" in solved
         assert f"critical_delta  {cs.critical_radius(shapes, m0, 0.1)[0]:.10g}\n" in solved

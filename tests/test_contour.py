@@ -70,6 +70,21 @@ class TestContourType:
         with pytest.raises(ValueError):
             c.points[0] = 0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf), complex(np.nan, 0.0)])
+    def test_rejects_a_coordinate_that_is_not_finite(self, bad):
+        pts = SQUARE.astype(complex)
+        pts[2] = bad
+        with pytest.raises(cs.DegenerateContourError, match="not finite"):
+            cs.Contour(pts)
+
+    @pytest.mark.parametrize("scale", [1e308, 5e307])
+    def test_rejects_a_perimeter_that_overflows(self, scale):
+        with pytest.raises(cs.DegenerateContourError, match="perimeter overflows"):
+            cs.Contour(wobbly_points(40) * scale)
+
+    def test_accepts_a_large_contour_whose_perimeter_is_finite(self):
+        assert len(cs.Contour(wobbly_points(40) * 1e307)) == 40
+
 
 class TestParamCurveType:
     def test_takes_the_vertices_alone(self):
@@ -96,7 +111,7 @@ class TestParamCurveType:
 
 
 class TestFarFromOrigin:
-    """A translated contour keeps its orientation: the shoelace sum is taken about vertex 0."""
+    """A translated contour keeps its orientation: the shoelace sum is taken about a vertex."""
 
     @pytest.mark.parametrize("scale", [1e8, 1e9])
     def test_signed_area_survives_translation(self, scale):
@@ -116,6 +131,47 @@ class TestFarFromOrigin:
                 got = cs.canonicalize(cs.Contour(pts)).vertices - offset
                 assert abs(got[0] - ref[0]) < 1e-5
                 assert abs(got[1] - ref[1]) < 1e-5
+
+
+def sliver_points(rng):
+    """Out along a line through 3-6 points, then back through the inner ones.
+
+    The vertices are displaced by 1e-17 going out and by 1e-16 coming back,
+    so the signed area is roundoff of either sign.
+    """
+    m = int(rng.integers(3, 7))
+    direction = np.exp(2j * np.pi * rng.uniform())
+    line = complex(*rng.standard_normal(2)) + direction * np.sort(rng.uniform(0.0, 3.0, m))
+
+    def noise(size, scale):
+        return scale * (rng.standard_normal(size) + 1j * rng.standard_normal(size))
+
+    return np.concatenate((line + noise(m, 1e-17), line[-2:0:-1] + noise(m - 2, 1e-16)))
+
+
+class TestSlivers:
+    """A sliver's area is roundoff, yet every start vertex and direction agree on it exactly."""
+
+    def test_area_ignores_the_start_vertex_and_negates_on_reversal(self):
+        rng = np.random.default_rng(12)
+        for _ in range(500):
+            pts = sliver_points(rng)
+            area = _signed_area(pts)
+            assert all(_signed_area(np.roll(pts, j)) == area for j in range(len(pts)))
+            assert _signed_area(pts[::-1]) == -area
+
+    def test_canonicalize_raises_only_contourstat_errors(self):
+        rng = np.random.default_rng(13)
+        outcomes = {"canonical": 0, "rejected": 0}
+        for _ in range(2000):
+            try:
+                curve = cs.canonicalize(cs.Contour(sliver_points(rng)))
+            except cs.ContourStatError:
+                outcomes["rejected"] += 1
+            else:
+                assert _signed_area(curve.vertices) > 0
+                outcomes["canonical"] += 1
+        assert min(outcomes.values()) > 0
 
 
 def start_and_step(points, curve):

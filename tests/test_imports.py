@@ -122,3 +122,62 @@ def test_no_command_loads_scipy(tmp_path):
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
     report = run_child(tmp_path, all_commands(tmp_path), "refuse")
     assert_every_step_succeeds_without_scipy(report)
+
+
+PUBLIC_NAMES = {
+    "__version__",
+    "Contour",
+    "ParamCurve",
+    "StoppingTimes",
+    "canonicalize",
+    "select_stopping_times",
+    "evaluate",
+    "relative_length_error",
+    "build_correspondence",
+    "union_of_times",
+    "DEFAULT_GAP_TOL",
+    "Preshape",
+    "EigenSystem",
+    "preshape",
+    "chord_distance",
+    "mean_matrix",
+    "eigensystem",
+    "extrinsic_mean",
+    "extrinsic_covariance",
+    "approximation_errors",
+    "TestResult",
+    "squared_shape_distance",
+    "tangent_offset",
+    "studentizing_variance",
+    "neighborhood_test",
+    "critical_radius",
+    "BootstrapRegion",
+    "resample_mean",
+    "bootstrap_region",
+    "align_rotation",
+    "SampleManifest",
+    "read_contour",
+    "write_contour",
+    "parse_manifest",
+    "load_sample",
+    "read_curves",
+    "PathStyle",
+    "svg_render",
+    "ContourStatError",
+    "DegenerateContourError",
+    "FocalDistributionError",
+    "DegenerateVarianceError",
+    "ParseError",
+    "MaskError",
+    "ManifestError",
+}
+
+
+def test_public_names_are_the_modules_all_lists_once():
+    from contourstat import bootstrap, contour, errors, inference, ingestion, shape_space, svg
+
+    modules = (contour, shape_space, inference, bootstrap, ingestion, svg, errors)
+    assert cs.__all__ == ["__version__"] + [name for m in modules for name in m.__all__]
+    assert len(set(cs.__all__)) == len(cs.__all__)
+    assert all(hasattr(cs, name) for name in cs.__all__)
+    assert set(cs.__all__) == PUBLIC_NAMES

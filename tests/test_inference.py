@@ -84,11 +84,11 @@ class TestTangentOffset:
 
 class TestStudentizingVariance:
     def test_zero_offset(self):
-        cov = cs.ExtrinsicCovariance(np.eye(4, dtype=complex))
+        cov = np.eye(4, dtype=complex)
         assert cs.studentizing_variance(np.zeros(4, dtype=complex), cov) == 0.0
 
     def test_identity_cov_unit_offset(self):
-        cov = cs.ExtrinsicCovariance(np.eye(4, dtype=complex))
+        cov = np.eye(4, dtype=complex)
         nu = np.array([1.0, 0, 0, 0], dtype=complex)
         assert cs.studentizing_variance(nu, cov) == pytest.approx(4.0)
 
@@ -96,12 +96,12 @@ class TestStudentizingVariance:
         rng = np.random.default_rng(10)
         for _ in range(50):
             x = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            cov = cs.ExtrinsicCovariance(x @ x.conj().T)
+            cov = x @ x.conj().T
             nu = rng.standard_normal(5) + 1j * rng.standard_normal(5)
             assert cs.studentizing_variance(nu, cov) >= 0.0
 
     def test_dimension_mismatch(self):
-        cov = cs.ExtrinsicCovariance(np.eye(3, dtype=complex))
+        cov = np.eye(3, dtype=complex)
         with pytest.raises(ValueError):
             cs.studentizing_variance(np.zeros(4, dtype=complex), cov)
 
@@ -112,7 +112,7 @@ class TestNeighborhoodTest:
         m0 = random_preshape(6, np.random.default_rng(12))
         mean, _ = cs.extrinsic_mean(sample)
         phi = cs.squared_shape_distance(mean, m0)
-        res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=np.sqrt(phi), alpha=0.05))
+        res = cs.neighborhood_test(sample, m0, radius=np.sqrt(phi), alpha=0.05)
         assert res.statistic == pytest.approx(0.0, abs=1e-9)
         assert res.p_value == pytest.approx(0.5, abs=1e-9)
         assert not res.reject
@@ -121,21 +121,21 @@ class TestNeighborhoodTest:
         # squared chord distance is at most 2, so radius^2 > 2 forces T < 0
         sample = noisy_sample(5, 10, seed=13)
         m0 = random_preshape(5, np.random.default_rng(14))
-        res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=1.5, alpha=0.05))
+        res = cs.neighborhood_test(sample, m0, radius=1.5, alpha=0.05)
         assert res.statistic < 0
         assert not res.reject
 
     def test_p_value_is_upper_tail_of_statistic(self):
         sample = noisy_sample(6, 12, seed=15)
         m0 = random_preshape(6, np.random.default_rng(16))
-        res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.4, alpha=0.05))
+        res = cs.neighborhood_test(sample, m0, radius=0.4, alpha=0.05)
         assert res.p_value == pytest.approx(1.0 - float(ndtr(res.statistic)), abs=1e-12)
 
     def test_statistic_decreasing_in_radius(self):
         sample = noisy_sample(6, 12, seed=17)
         m0 = random_preshape(6, np.random.default_rng(18))
         stats = [
-            cs.neighborhood_test(sample, m0, cs.TestConfig(radius=r, alpha=0.05)).statistic
+            cs.neighborhood_test(sample, m0, radius=r, alpha=0.05).statistic
             for r in (0.05, 0.2, 0.5, 0.9, 1.3)
         ]
         assert np.all(np.diff(stats) < 0)
@@ -147,7 +147,7 @@ class TestNeighborhoodTest:
         assert crit > 0
         xi = float(ndtri(0.95))
         for factor in (0.7, 0.9, 0.999999, 1.000001, 1.1, 1.5):
-            res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=factor * crit, alpha=0.05))
+            res = cs.neighborhood_test(sample, m0, radius=factor * crit, alpha=0.05)
             assert res.reject == (factor < 1.0)
             assert res.reject == (res.statistic > xi)
             assert res.critical_radius == pytest.approx(crit, abs=1e-9)
@@ -155,11 +155,10 @@ class TestNeighborhoodTest:
     def test_phase_invariance_of_result(self):
         sample = noisy_sample(6, 14, seed=21)
         m0 = random_preshape(6, np.random.default_rng(22))
-        config = cs.TestConfig(radius=0.3, alpha=0.1)
-        base = cs.neighborhood_test(sample, m0, config)
+        base = cs.neighborhood_test(sample, m0, radius=0.3, alpha=0.1)
         for theta in (0.4, -2.0):
             rotated = cs.Preshape(m0.coords * np.exp(1j * theta))
-            res = cs.neighborhood_test(sample, rotated, config)
+            res = cs.neighborhood_test(sample, rotated, radius=0.3, alpha=0.1)
             assert res.squared_distance == pytest.approx(base.squared_distance, abs=1e-10)
             assert res.std_error == pytest.approx(base.std_error, abs=1e-10)
             assert res.statistic == pytest.approx(base.statistic, abs=1e-8)
@@ -170,11 +169,10 @@ class TestNeighborhoodTest:
     def test_sample_phase_invariance_of_result(self):
         sample = noisy_sample(6, 14, seed=23)
         m0 = random_preshape(6, np.random.default_rng(24))
-        config = cs.TestConfig(radius=0.3, alpha=0.1)
-        base = cs.neighborhood_test(sample, m0, config)
+        base = cs.neighborhood_test(sample, m0, radius=0.3, alpha=0.1)
         rng = np.random.default_rng(25)
         rotated = [cs.Preshape(s.coords * np.exp(1j * rng.uniform(0, 2 * np.pi))) for s in sample]
-        res = cs.neighborhood_test(rotated, m0, config)
+        res = cs.neighborhood_test(rotated, m0, radius=0.3, alpha=0.1)
         assert res.squared_distance == pytest.approx(base.squared_distance, abs=1e-10)
         assert res.std_error == pytest.approx(base.std_error, abs=1e-10)
         assert res.statistic == pytest.approx(base.statistic, abs=1e-8)
@@ -195,26 +193,26 @@ class TestNeighborhoodTest:
     def test_small_sample_rejected(self):
         g = random_preshape(5, np.random.default_rng(27))
         with pytest.raises(ValueError):
-            cs.neighborhood_test([g], g, cs.TestConfig(radius=0.1))
+            cs.neighborhood_test([g], g, radius=0.1)
 
     def test_focal_sample_raises(self):
         rng = np.random.default_rng(28)
         base = random_preshape(5, rng)
         other = cs.Preshape(centered_basis(base.coords)[:, 0])
         with pytest.raises(cs.FocalDistributionError):
-            cs.neighborhood_test([base, other], base, cs.TestConfig(radius=0.1))
+            cs.neighborhood_test([base, other], base, radius=0.1)
 
     def test_degenerate_variance_raises_with_guidance(self):
         sample = noisy_sample(6, 10, seed=29)
         mean, _ = cs.extrinsic_mean(sample)
         with pytest.raises(cs.DegenerateVarianceError, match="coincides|concentrated"):
-            cs.neighborhood_test(sample, mean, cs.TestConfig(radius=0.1))
+            cs.neighborhood_test(sample, mean, radius=0.1)
 
     def test_concentrated_sample_degenerate_variance(self):
         g = random_preshape(6, np.random.default_rng(30))
         m0 = random_preshape(6, np.random.default_rng(31))
         with pytest.raises(cs.DegenerateVarianceError):
-            cs.neighborhood_test([g, g, g], m0, cs.TestConfig(radius=0.1))
+            cs.neighborhood_test([g, g, g], m0, radius=0.1)
 
 
 class TestCriticalRadius:
@@ -233,8 +231,8 @@ class TestCriticalRadius:
             sample = draw_tangent_gaussian(base, frame, 0.15, 25, rng)
             crit, _, _ = cs.critical_radius(sample, m0, alpha=0.05)
             assert crit > 0
-            low = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.999 * crit, alpha=0.05))
-            high = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=1.001 * crit, alpha=0.05))
+            low = cs.neighborhood_test(sample, m0, radius=0.999 * crit, alpha=0.05)
+            high = cs.neighborhood_test(sample, m0, radius=1.001 * crit, alpha=0.05)
             assert low.reject
             assert not high.reject
 
@@ -242,7 +240,7 @@ class TestCriticalRadius:
         sample = noisy_sample(7, 20, seed=19)
         m0 = random_preshape(7, np.random.default_rng(20))
         radius, phi, s = cs.critical_radius(sample, m0, alpha=0.1)
-        res = cs.neighborhood_test(sample, m0, cs.TestConfig(radius=0.2, alpha=0.1))
+        res = cs.neighborhood_test(sample, m0, radius=0.2, alpha=0.1)
         assert (radius, phi, s) == (res.critical_radius, res.squared_distance, res.std_error)
 
     def test_invalid_alpha(self):
@@ -254,12 +252,14 @@ class TestCriticalRadius:
 
 class TestTestConfig:
     def test_validation(self):
+        sample = noisy_sample(5, 8, seed=35)
+        m0 = random_preshape(5, np.random.default_rng(36))
         with pytest.raises(ValueError):
-            cs.TestConfig(radius=0.0)
+            cs.neighborhood_test(sample, m0, radius=0.0)
         with pytest.raises(ValueError):
-            cs.TestConfig(radius=0.5, alpha=0.0)
+            cs.neighborhood_test(sample, m0, radius=0.5, alpha=0.0)
         with pytest.raises(ValueError):
-            cs.TestConfig(radius=0.5, alpha=1.0)
+            cs.neighborhood_test(sample, m0, radius=0.5, alpha=1.0)
 
 
 def pipeline_statistics(sample_points, m0_points, k, seed, delta, phases=None):
@@ -275,7 +275,7 @@ def pipeline_statistics(sample_points, m0_points, k, seed, delta, phases=None):
     if phases is not None:
         shapes = [cs.Preshape(s.coords * np.exp(1j * t)) for s, t in zip(shapes, phases)]
         m0 = cs.Preshape(m0.coords * np.exp(1j * phases[-1]))
-    r = cs.neighborhood_test(shapes, m0, cs.TestConfig(delta, 0.05))
+    r = cs.neighborhood_test(shapes, m0, delta, 0.05)
     return np.array([r.squared_distance, r.std_error, r.statistic, r.p_value, r.critical_radius])
 
 

@@ -514,6 +514,12 @@ class TestManifest:
         with pytest.raises(cs.ManifestError, match="same"):
             cs.parse_manifest(man)
 
+    def test_manifest_that_is_not_utf8_rejected(self, tmp_path):
+        man = tmp_path / "bytes.manifest"
+        man.write_bytes(b"seed 3\ncontour a m\xec0.pgm\n")
+        with pytest.raises(cs.ManifestError, match="bytes.manifest is not UTF-8 text"):
+            cs.parse_manifest(man)
+
     def test_empty_manifest_rejected(self, tmp_path):
         man = tmp_path / "empty.manifest"
         man.write_text("seed 1\n")

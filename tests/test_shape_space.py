@@ -446,28 +446,28 @@ class TestExtrinsicCovariance:
         sample = [g] * 5
         _, es = cs.extrinsic_mean(sample)
         cov = cs.extrinsic_covariance(sample, es)
-        assert np.max(np.abs(cov.entries)) < 1e-20
+        assert np.max(np.abs(cov)) < 1e-20
 
     def test_hermitian_exactly(self):
         rng = np.random.default_rng(34)
         sample = [random_preshape(7, rng) for _ in range(12)]
         _, es = cs.extrinsic_mean(sample)
         cov = cs.extrinsic_covariance(sample, es)
-        assert np.array_equal(cov.entries, cov.entries.conj().T)
+        assert np.array_equal(cov, cov.conj().T)
 
     def test_positive_semidefinite(self):
         rng = np.random.default_rng(35)
         sample = [random_preshape(6, rng) for _ in range(9)]
         _, es = cs.extrinsic_mean(sample)
         cov = cs.extrinsic_covariance(sample, es)
-        assert np.linalg.eigvalsh(cov.entries).min() >= -1e-10
+        assert np.linalg.eigvalsh(cov).min() >= -1e-10
 
     def test_hand_built_sample_term_by_term(self):
         # independent summation of the covariance entries, one (a, b, r) at a time
         rng = np.random.default_rng(36)
         sample = [random_preshape(4, rng) for _ in range(3)]
         _, es = cs.extrinsic_mean(sample)
-        cov = cs.extrinsic_covariance(sample, es).entries
+        cov = cs.extrinsic_covariance(sample, es)
         lam, V = es.eigenvalues, es.eigenvectors
         n, r = 3, len(lam)
         for a in range(1, r):
