@@ -87,10 +87,16 @@ def studentizing_variance(offset: np.ndarray, cov: np.ndarray) -> float:
     """4 <offset, S offset>: the plug-in variance of the test statistic.
 
     ``cov`` is the Hermitian extrinsic covariance S of
-    :func:`extrinsic_covariance`.  The Hermitian quadratic form is real up to
-    roundoff; the imaginary part is checked below 1e-10 and discarded, and
-    small negative values are clamped to zero.
+    :func:`extrinsic_covariance`; a matrix that is not square or not
+    Hermitian within 1e-10 is rejected.  The Hermitian quadratic form is real
+    up to roundoff; the imaginary part is checked below 1e-10 and discarded,
+    and small negative values are clamped to zero.
     """
+    cov = np.asarray(cov, dtype=np.complex128)
+    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
+    if np.max(np.abs(cov - cov.conj().T), initial=0.0) > 1e-10:
+        raise ValueError("covariance is not Hermitian within 1e-10")
     offset = np.asarray(offset, dtype=np.complex128)
     if offset.shape != (len(cov),):
         raise ValueError(f"offset has shape {offset.shape}, expected ({len(cov)},)")

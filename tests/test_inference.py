@@ -105,6 +105,16 @@ class TestStudentizingVariance:
         with pytest.raises(ValueError):
             cs.studentizing_variance(np.zeros(4, dtype=complex), cov)
 
+    @pytest.mark.parametrize("cov", [np.ones((3, 4)), np.ones(3), np.array(1.0)])
+    def test_non_square_cov_rejected(self, cov):
+        with pytest.raises(ValueError, match="expected a square matrix"):
+            cs.studentizing_variance(np.zeros(3, dtype=complex), cov)
+
+    def test_non_hermitian_cov_rejected(self):
+        cov = np.array([[1.0, 2.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="not Hermitian"):
+            cs.studentizing_variance(np.ones(2), cov)
+
 
 class TestNeighborhoodTest:
     def test_boundary_radius_gives_t_zero(self):
