@@ -54,6 +54,9 @@ class BootstrapRegion:
     def __post_init__(self):
         d = np.asarray(self.distances, dtype=np.float64)
         b = len(self.boot_means)
+        if b == 0:
+            raise ValueError("need at least one resample")
+        _require_alpha(self.alpha)
         if len(d) != b:
             raise ValueError("distances must have one entry per resample")
         if np.any(d < 0):
@@ -64,9 +67,17 @@ class BootstrapRegion:
         object.__setattr__(self, "included", _freeze(d <= radius))
 
 
+def _require_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def _quantile_index(alpha: float, b: int) -> int:
-    """1-based order statistic index ceil((1 - alpha) B), robust to fp in the product."""
-    return int(math.ceil((1.0 - alpha) * b - 1e-9))
+    """1-based order statistic index ceil((1 - alpha) B), robust to fp in the product.
+
+    At least 1, so that an alpha within 1e-9 / B of 1 cannot wrap to the largest distance.
+    """
+    return max(1, int(math.ceil((1.0 - alpha) * b - 1e-9)))
 
 
 def resample_mean(sample: Sequence[Preshape], rng: np.random.Generator) -> Preshape:
@@ -104,8 +115,7 @@ def bootstrap_region(
         raise ValueError(f"need at least 2 shapes, got {len(sample)}")
     if B < 50:
         raise ValueError(f"need B >= 50 resamples, got {B}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_alpha(alpha)
     mean, _ = extrinsic_mean(sample)
     basis, reduced = _span_coordinates(sample)
     boot = [resample_mean(reduced, _substream(seed, i)) for i in range(B)]

@@ -26,6 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from ._normal import ndtr, ndtri
+from .bootstrap import _require_alpha
 from .errors import DegenerateVarianceError
 from .shape_space import (
     EigenSystem,
@@ -152,8 +153,7 @@ def critical_radius(
     this remains well defined when s_n = 0 (then the solution is simply phi).
     Returns (radius, phi, s_n): the radius with the two statistics it solves from.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    _require_alpha(alpha)
     n = len(sample)
     if n < 2:
         raise ValueError(f"need at least 2 shapes, got {n}")

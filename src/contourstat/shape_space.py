@@ -106,10 +106,10 @@ class EigenSystem:
         v = np.asarray(self.eigenvectors, dtype=np.complex128)
         if v.ndim != 2 or not 0 < v.shape[1] <= v.shape[0] or w.shape != (v.shape[1],):
             raise ValueError("eigenvalues/eigenvectors have inconsistent shapes")
-        if np.any(np.diff(w) > 0):
+        if (w[1:] > w[:-1]).any():
             raise ValueError("eigenvalues must be in descending order")
         gram = v.conj().T @ v
-        if np.max(np.abs(gram - np.eye(len(w)))) > 1e-10:
+        if abs(gram - np.eye(len(w))).max() > 1e-10:
             raise ValueError("eigenvectors are not orthonormal within 1e-10")
         object.__setattr__(self, "eigenvalues", _freeze(w))
         object.__setattr__(self, "eigenvectors", _freeze(v))
@@ -130,17 +130,22 @@ def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
     pts = points.points if isinstance(points, Contour) else np.asarray(points, dtype=np.complex128)
     if pts.ndim != 1 or len(pts) < 3:
         raise ValueError("need at least 3 ordered points")
-    return Preshape(_preshape_rows(pts[None])[0])
+    return Preshape(_preshape_rows(_unit_scaled(pts[None]))[0])
 
 
 def _preshape_rows(points: np.ndarray) -> np.ndarray:
-    """Preshape coordinates of each row of points: the kernel of :func:`preshape`."""
-    points = _unit_scaled(points)  # exact, and the norm can neither overflow nor underflow
-    centered = points - points.mean(axis=1, keepdims=True)
+    """Preshape coordinates of each row of points: the kernel of :func:`preshape`.
+
+    The rows must be at unit scale, so that the norm can neither overflow nor
+    underflow: callers holding raw coordinates apply :func:`_unit_scaled`
+    first, which is exact.
+    """
+    k = points.shape[1]
+    centered = points - points.sum(axis=1, keepdims=True) / k
     # second pass kills roundoff from large offsets
-    centered = centered - centered.mean(axis=1, keepdims=True)
+    centered = centered - centered.sum(axis=1, keepdims=True) / k
     nrm = np.array([np.linalg.norm(row) for row in centered])
-    if not np.all(nrm > 0.0):
+    if not (nrm > 0.0).all():
         raise DegenerateContourError("all points are equal; no shape after centering")
     return centered / nrm[:, None]
 
@@ -173,10 +178,13 @@ def _chord(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def _stack(sample: Sequence[Preshape]) -> np.ndarray:
-    dims = {s.dimension for s in sample}
-    if len(dims) != 1:
-        raise ValueError(f"sample mixes dimensions: {sorted(dims)}")
-    return np.stack([s.coords for s in sample])
+    try:
+        gam = np.array([s.coords for s in sample])
+    except ValueError:  # rows of different lengths
+        gam = np.empty(0)
+    if gam.ndim != 2:  # mixed dimensions, or an empty sample
+        raise ValueError(f"sample mixes dimensions: {sorted({s.dimension for s in sample})}")
+    return gam
 
 
 def mean_matrix(sample: Sequence[Preshape]) -> np.ndarray:
@@ -207,7 +215,7 @@ def eigensystem(m: np.ndarray) -> EigenSystem:
 
 def _phase(v: np.ndarray) -> np.ndarray:
     """Rotate each column so that its largest-magnitude entry is real and positive."""
-    lead = np.argmax(np.abs(v), axis=0)
+    lead = abs(v).argmax(axis=0)
     pivots = v[lead, np.arange(v.shape[1])]
     return v * (np.abs(pivots) / pivots)
 
@@ -239,9 +247,10 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
     es = EigenSystem(s**2, _phase(u))
     _require_gap(es)
-    # re-center and renormalize defensively; the top eigenvector is already
-    # centered up to eigensolver roundoff because every gamma_i is
-    return preshape(es.eigenvectors[:, 0]), es
+    # the top eigenvector is centered and unit-norm only to eigensolver
+    # roundoff, which grows with n and k: re-center and renormalize it as
+    # preshape() would, less the rescale that a unit vector does not need
+    return Preshape(_preshape_rows(es.eigenvectors[None, :, 0])[0]), es
 
 
 def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.ndarray:
@@ -316,6 +325,6 @@ def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.n
     # a configuration, not a contour: a zero-area k-gon maps reference
     # fractions f and 1 - f about its turning point to one point
     kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
-    ref = _preshape_rows(curve.vertices[None])[0]
-    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(kgons_at_ref)]
+    ref = _preshape_rows(_unit_scaled(curve.vertices[None]))[0]
+    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(_unit_scaled(kgons_at_ref))]
     return len_errs, np.array(shape_sqs)

@@ -92,6 +92,25 @@ class TestBootstrapRegion:
         with pytest.raises(ValueError, match="nonnegative"):
             cs.BootstrapRegion(g, (g,) * 3, np.array([0.1, -0.1, 0.2]), alpha=0.1)
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, 0.0, -0.5, math.nan])
+    def test_alpha_outside_unit_interval_rejected(self, alpha):
+        g = random_preshape(5, np.random.default_rng(3))
+        dist = np.random.default_rng(4).uniform(0.0, 1.0, size=60)
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            cs.BootstrapRegion(g, (g,) * 60, dist, alpha=alpha)
+
+    def test_empty_resample_set_rejected(self):
+        g = random_preshape(5, np.random.default_rng(5))
+        with pytest.raises(ValueError, match="need at least one resample"):
+            cs.BootstrapRegion(g, (), np.zeros(0), alpha=0.05)
+
+    def test_alpha_just_below_one_takes_the_smallest_distance(self):
+        # ceil((1 - alpha) B) is 1 here, not 0: index 0 would wrap to the largest
+        g = random_preshape(5, np.random.default_rng(6))
+        dist = np.random.default_rng(7).uniform(0.0, 1.0, size=60)
+        region = cs.BootstrapRegion(g, (g,) * 60, dist, alpha=1.0 - 1e-12)
+        assert region.radius == dist.min()
+
     def test_radius_is_380th_of_400_distances(self):
         sample = model_sample(15, seed=7)
         region = cs.bootstrap_region(sample, B=400, alpha=0.05, seed=1)

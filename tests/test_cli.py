@@ -650,6 +650,16 @@ class TestApproximationErrors:
         # k = 12 is the first curve's own vertex count: its k-gons are the curve itself
         assert len_errs[1, ::3].tolist() == [0.0] * repeats
 
+    @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-300])
+    def test_scaled_curve_gives_the_errors_of_its_unit_twin(self, scale):
+        # the squared coordinates of these curves overflow or underflow
+        unit = cs.canonicalize(cs.Contour(wobbly_points(40, amp3=0.3)))
+        scaled = cs.ParamCurve(unit.vertices * scale)
+        want = cs.approximation_errors([unit], (5, 17), 4, 9)
+        got = cs.approximation_errors([scaled], (5, 17), 4, 9)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) < 1e-12
+
 
 def assert_rows_equal_oracle(curve, k, seeds):
     """_approx_rows on one batch is bit for bit the scalar oracle looped over it."""

@@ -285,6 +285,18 @@ class TestExtrinsicMean:
             mean2, _ = cs.extrinsic_mean([cs.preshape(a * p + b) for p in raw])
             assert cs.chord_distance(mean1, mean2) < 1e-9
 
+    def test_mixed_dimensions_rejected(self):
+        rng = np.random.default_rng(26)
+        mixed = [random_preshape(5, rng), random_preshape(6, rng)]
+        _, es = cs.extrinsic_mean([random_preshape(5, rng) for _ in range(3)])
+        for call in (
+            lambda: cs.extrinsic_mean(mixed),
+            lambda: cs.mean_matrix(mixed),
+            lambda: cs.extrinsic_covariance(mixed, es),
+        ):
+            with pytest.raises(ValueError, match=r"^sample mixes dimensions: \[5, 6\]$"):
+                call()
+
 
 def tangent_sample(k, n, distinct, tau, seed):
     """n tangent-Gaussian shapes cycling through ``distinct`` draws, so rank <= distinct."""
@@ -339,6 +351,25 @@ class TestThinSvdPath:
         lam = np.linalg.eigvalsh(explicit_mean_matrix(np.stack([s.coords for s in sample])))
         assume(lam[-1] - lam[-2] > 1e-6 * lam[-1])  # away from the focal boundary
         assert_matches_explicit(sample, random_preshape(k, np.random.default_rng(seed)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(3, 40),
+        data=st.data(),
+        tau=st.floats(0.02, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mean_is_the_preshape_of_the_top_eigenvector(self, k, data, tau, seed):
+        # the mean renormalizes a unit vector without preshape()'s exact
+        # rescale, which changes no bit of it
+        n = data.draw(st.integers(1, 2 * k), label="n")
+        distinct = data.draw(st.integers(1, n), label="distinct")
+        sample = tangent_sample(k, n, distinct, tau, seed)
+        try:
+            mean, es = cs.extrinsic_mean(sample)
+        except cs.FocalDistributionError:
+            assume(False)
+        assert np.array_equal(mean.coords, cs.preshape(es.eigenvectors[:, 0]).coords)
 
     @pytest.mark.parametrize(
         "k, n, distinct",
