@@ -10,8 +10,9 @@ plot       overlay of the preshaped sample contours
 
 The full pipeline is deterministic: outputs are a pure function of the
 manifest contents and the command-line options.  Domain failures (focal
-spectra, degenerate variance, unreadable inputs) exit with status 2 and a
-diagnostic on stderr; a completed test exits 0 whatever its decision.
+spectra, degenerate variance, unreadable inputs, unwritable outputs) exit
+with status 2 and a diagnostic on stderr; a completed test exits 0 whatever
+its decision.
 """
 
 from __future__ import annotations
@@ -59,12 +60,8 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         _check_options(args)
-        manifest = parse_manifest(args.manifest)
-        manifest = replace(
-            manifest,
-            seed=manifest.seed if args.seed is None else args.seed,
-            k=manifest.k if args.k is None else args.k,
-        )
+        given = {key: val for key, val in vars(args).items() if key in ("seed", "k") and val is not None}
+        manifest = replace(parse_manifest(args.manifest), **given)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         handler = {
             "approx": cmd_approx,
@@ -74,7 +71,9 @@ def main(argv=None) -> int:
             "plot": cmd_plot,
         }[args.command]
         handler(args, manifest)
-    except ContourStatError as err:
+    except (ContourStatError, OSError) as err:
+        # the readers turn their own OSErrors into ContourStatErrors: an
+        # OSError here failed to create --out or to write a result into it
         print(f"error: {err}", file=sys.stderr)
         return 2
     return 0
@@ -91,9 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--manifest", required=True, help="sample manifest file")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the manifest seed")
-        p.add_argument("--k", type=int, default=None, help="override the manifest k")
 
-    p_approx = sub.add_parser("approx", help="k-gon approximation error report")
+    # approx takes its k values from --k-grid and has no --k: without
+    # allow_abbrev=False, argparse would read a --k as --k-grid
+    p_approx = sub.add_parser("approx", help="k-gon approximation error report", allow_abbrev=False)
     common(p_approx)
     p_approx.add_argument(
         "--k-grid", default="50,100,200,400", help="comma-separated k values"
@@ -121,6 +121,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_plot = sub.add_parser("plot", help="overlay the preshaped sample")
     common(p_plot)
+    for p in (p_mean, p_test, p_boot, p_plot):
+        p.add_argument("--k", type=int, default=None, help="override the manifest k")
     return parser
 
 

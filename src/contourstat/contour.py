@@ -151,9 +151,10 @@ class ParamCurve:
     for the return to vertex 0, so ``cum_lengths[0] == 0`` and
     ``cum_lengths[-1] == total_length``; both are computed from the vertices.
     Vertex order is counterclockwise and vertex 0 is the designated start
-    point of the parameterization.  A polygon of zero signed area (collinear
-    vertices) has no orientation and is accepted; arclength is well defined
-    on it.
+    point of the parameterization.  The vertices are checked as a
+    :class:`Contour`'s are: finite, with at least 3 distinct ones.  A polygon
+    of zero signed area (collinear vertices) has no orientation and is
+    accepted; arclength is well defined on it.
     """
 
     vertices: np.ndarray
@@ -162,9 +163,11 @@ class ParamCurve:
 
     def __post_init__(self):
         verts = _as_complex_vector(self.vertices)
+        _require_finite(verts)
         cum = _cum_lengths(verts)
         if np.any(np.diff(cum) <= 0):
             raise ValueError("cum_lengths must be strictly increasing")
+        _require_polygons(verts)  # after the check above, only its distinct-point test can fail
         if _signed_area(verts) < 0:
             raise ValueError("curve must be oriented counterclockwise")
         object.__setattr__(self, "vertices", _freeze(verts))

@@ -6,7 +6,6 @@ __all__ = [
     "FocalDistributionError",
     "DegenerateVarianceError",
     "ParseError",
-    "MaskError",
     "ManifestError",
 ]
 
@@ -33,17 +32,13 @@ class DegenerateVarianceError(ContourStatError):
 
 
 class ParseError(ContourStatError):
-    """A contour or image file could not be parsed."""
+    """A contour or mask file could not be read or used."""
 
     def __init__(self, path, line, message):
         self.path = str(path)
         self.line = line
         where = f"{self.path}:{line}" if line is not None else self.path
         super().__init__(f"{where}: {message}")
-
-
-class MaskError(ContourStatError):
-    """A binary mask is unusable for boundary extraction."""
 
 
 class ManifestError(ContourStatError):

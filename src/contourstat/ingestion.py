@@ -46,7 +46,7 @@ from .contour import (
     canonicalize,
     evaluate,
 )
-from .errors import DegenerateContourError, ManifestError, MaskError, ParseError
+from .errors import ContourStatError, DegenerateContourError, ManifestError, ParseError
 from .shape_space import Preshape, preshape
 
 __all__ = [
@@ -99,8 +99,6 @@ def _read_csv(path: Path) -> Contour:
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(path, lineno, f"non-finite coordinate in {raw!r}")
         points.append(complex(x, y))
-    if len(points) >= 2 and points[0] == points[-1]:
-        points.pop()
     return _build_contour(np.asarray(points, dtype=np.complex128), path)
 
 
@@ -136,8 +134,14 @@ def _merge_close_points(points: np.ndarray) -> np.ndarray:
 
 def _read_mask(path: Path) -> Contour:
     mask = _read_pgm(path)
-    _require_single_component(mask, path)
+    count = _count_components(mask)
+    if count == 0:
+        raise ParseError(path, None, "mask has no foreground pixels")
+    if count > 1:
+        raise ParseError(path, None, f"mask has {count} connected components; expected exactly 1")
     pixels = _trace_boundary(mask)
+    if pixels is None:
+        raise ParseError(path, None, "boundary tracing did not terminate; mask is malformed")
     if len(pixels) < 3:
         raise ParseError(path, None, f"mask boundary has only {len(pixels)} pixels")
     height = mask.shape[0]
@@ -147,6 +151,11 @@ def _read_mask(path: Path) -> Contour:
     if _signed_area(pts) < 0:
         pts = np.concatenate((pts[:1], pts[1:][::-1]))
     return _build_contour(pts, path)
+
+
+# a header token, after the whitespace and '#' comments (each to the end of
+# its line) before it; empty at the end of the file
+_PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _read_pgm(path: Path) -> np.ndarray:
@@ -161,21 +170,11 @@ def _read_pgm(path: Path) -> np.ndarray:
 
     def next_token() -> bytes:
         nonlocal pos
-        while pos < len(data):
-            ch = data[pos : pos + 1]
-            if ch == b"#":
-                nl = data.find(b"\n", pos)
-                pos = len(data) if nl < 0 else nl + 1
-            elif ch.isspace():
-                pos += 1
-            else:
-                break
-        start = pos
-        while pos < len(data) and not data[pos : pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ParseError(path, line_at(start), "unexpected end of file in PGM header")
-        return data[start:pos]
+        match = _PGM_TOKEN.match(data, pos)
+        pos = match.end()
+        if not match[1]:
+            raise ParseError(path, line_at(pos), "unexpected end of file in PGM header")
+        return match[1]
 
     magic = next_token()
     if magic not in (b"P2", b"P5"):
@@ -270,14 +269,6 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
     raise AssertionError("unreachable: some P2 sample failed the vectorized check")
 
 
-def _require_single_component(mask: np.ndarray, path: Path) -> None:
-    count = _count_components(mask)
-    if count == 0:
-        raise MaskError(f"{path}: mask has no foreground pixels")
-    if count > 1:
-        raise MaskError(f"{path}: mask has {count} connected components; expected exactly 1")
-
-
 def _count_components(mask: np.ndarray) -> int:
     """Number of 8-connected foreground components, by merging row runs.
 
@@ -321,8 +312,8 @@ def _count_components(mask: np.ndarray) -> int:
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
 
 
-def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Moore-neighbor boundary trace.
+def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]] | None:
+    """Moore-neighbor boundary trace, or None if it does not close within its step limit.
 
     Starts at the top-most then left-most foreground pixel, entered from the
     west (guaranteed background there).  Stops when the trace is at the start
@@ -364,7 +355,7 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
         cur = nxt
         boundary.append(cur)
     else:
-        raise MaskError("boundary tracing did not terminate; mask is malformed")
+        return None
     return [(i // width - 1, i % width - 1) for i in boundary]
 
 
@@ -413,16 +404,11 @@ def parse_manifest(path) -> SampleManifest:
             continue
         fields = line.split()
         directive = fields[0]
-        if directive == "seed" and len(fields) == 2:
+        if directive in ("seed", "k") and len(fields) == 2:
             try:
-                settings["seed"] = int(fields[1])
+                settings[directive] = int(fields[1])
             except ValueError:
-                raise ManifestError(f"{p}:{lineno}: bad seed {fields[1]!r}") from None
-        elif directive == "k" and len(fields) == 2:
-            try:
-                settings["k"] = int(fields[1])
-            except ValueError:
-                raise ManifestError(f"{p}:{lineno}: bad k {fields[1]!r}") from None
+                raise ManifestError(f"{p}:{lineno}: bad {directive} {fields[1]!r}") from None
         elif directive == "correspondence" and len(fields) == 2:
             settings["strategy"] = fields[1]
         elif directive == "contour" and len(fields) == 3:
@@ -452,6 +438,6 @@ def read_curves(manifest: SampleManifest) -> list[ParamCurve]:
     for cid, cpath in manifest.entries:
         try:
             curves.append(canonicalize(read_contour(cpath)))
-        except (ParseError, MaskError, DegenerateContourError) as err:
+        except ContourStatError as err:
             raise ManifestError(f"entry '{cid}': {err}") from err
     return curves

@@ -1,4 +1,7 @@
 import ast
+import errno
+import os
+import re
 import warnings
 from pathlib import Path
 
@@ -261,6 +264,49 @@ class TestBadOptions:
     def test_no_run_config_type(self):
         assert not hasattr(cli, "RunConfig")
         assert cli.__all__ == ["main"]
+
+
+class TestKOption:
+    """--k overrides the manifest k on every command that uses it; approx takes --k-grid."""
+
+    def test_approx_rejects_k(self, sample_dir, capsys):
+        tmp_path, man = sample_dir
+        with pytest.raises(SystemExit) as info:
+            main(["approx", "--manifest", str(man), "--out", str(tmp_path / "o"), "--k", "5"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --k 5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["mean", "plot"])
+    def test_k_overrides_the_manifest(self, sample_dir, capsys, command):
+        tmp_path, man = sample_dir
+        assert main([command, "--manifest", str(man), "--out", str(tmp_path / "o"), "--k", "12"]) == 0
+        assert re.search(r"^k +12$", capsys.readouterr().out, re.MULTILINE)
+
+
+class TestOutputFailures:
+    """An --out that cannot be created or written into ends in exit 2 and one error line."""
+
+    def run_mean(self, man, out, capsys):
+        code = main(["mean", "--manifest", str(man), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_out_is_an_existing_file(self, sample_dir, capsys):
+        tmp_path, man = sample_dir
+        out = tmp_path / "taken"
+        out.write_text("")
+        err = self.run_mean(man, out, capsys)
+        assert repr(str(out)) in err and os.strerror(errno.EEXIST) in err
+
+    def test_output_file_is_a_directory(self, sample_dir, capsys):
+        tmp_path, man = sample_dir
+        out = tmp_path / "o"
+        (out / "mean_shape.csv").mkdir(parents=True)
+        err = self.run_mean(man, out, capsys)
+        assert repr(str(out / "mean_shape.csv")) in err and os.strerror(errno.EISDIR) in err
 
 
 class TestOneContourManifest:

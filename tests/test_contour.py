@@ -1,4 +1,5 @@
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,21 @@ class TestParamCurveType:
     def test_zero_edge_rejected(self):
         with pytest.raises(ValueError, match="strictly increasing"):
             cs.ParamCurve(np.array([0, 1, 1, 1j]))
+
+    @pytest.mark.parametrize(
+        "vertices, message",
+        [
+            ([0, 1, np.nan], "contour has a coordinate that is not finite"),
+            ([0, 1, 1j, np.inf], "contour has a coordinate that is not finite"),
+            ([0, 1], "contour has fewer than 3 distinct points"),
+        ],
+        ids=["nan", "inf", "two-vertices"],
+    )
+    def test_rejects_what_contour_rejects(self, vertices, message):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(cs.DegenerateContourError, match=f"^{message}$"):
+                cs.ParamCurve(np.array(vertices))
 
 
 class TestFarFromOrigin:

@@ -168,7 +168,6 @@ PUBLIC_NAMES = {
     "FocalDistributionError",
     "DegenerateVarianceError",
     "ParseError",
-    "MaskError",
     "ManifestError",
 }
 

@@ -169,6 +169,11 @@ class TestReadCsv:
         with pytest.raises(cs.ParseError):
             cs.read_contour(f)
 
+    def test_near_duplicate_closing_point_dropped(self, tmp_path):
+        f = tmp_path / "c.csv"
+        f.write_text("0,0\n1,0\n1,1\n0,1\n1e-15,0\n")
+        assert np.array_equal(cs.read_contour(f).points, [0, 1, 1 + 1j, 1j])
+
     def test_near_duplicate_points_merged(self, tmp_path):
         f = tmp_path / "c.csv"
         eps = 1e-15
@@ -231,13 +236,13 @@ class TestReadMask:
         mask[12:16, 12:16] = 1
         f = tmp_path / "m.pgm"
         write_pgm_p5(f, mask)
-        with pytest.raises(cs.MaskError, match="2"):
+        with pytest.raises(cs.ParseError, match="2"):
             cs.read_contour(f)
 
     def test_empty_mask_rejected(self, tmp_path):
         f = tmp_path / "m.pgm"
         write_pgm_p5(f, np.zeros((5, 5), dtype=np.uint8))
-        with pytest.raises(cs.MaskError, match="no foreground"):
+        with pytest.raises(cs.ParseError, match="no foreground"):
             cs.read_contour(f)
 
     def test_malformed_header(self, tmp_path):
@@ -245,6 +250,32 @@ class TestReadMask:
         f.write_bytes(b"P7\n3 3\n255\n" + bytes(9))
         with pytest.raises(cs.ParseError):
             cs.read_contour(f)
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"P5\n3 3\n# no newline", "m.pgm:3: unexpected end of file in PGM header"),
+            (b"P5 # comment\n\n", "m.pgm:3: unexpected end of file in PGM header"),
+            (b"P5\n12#3 3\n255\n", "m.pgm:2: bad PGM width: b'12#3'"),
+            (b"P5\r3\r3\rmax\r", "m.pgm:1: bad PGM maxval: b'max'"),
+            (b"P5\n#a\n#b\n3 0\n", "m.pgm:4: PGM height must be positive, got 0"),
+        ],
+        ids=["comment-at-eof", "blank-after-comment", "hash-inside-width", "cr-lines", "comments"],
+    )
+    def test_header_error_names_its_line(self, tmp_path, header, message):
+        f = tmp_path / "m.pgm"
+        f.write_bytes(header)
+        with pytest.raises(cs.ParseError) as info:
+            _read_pgm(f)
+        assert str(info.value) == f"{tmp_path}/{message}"
+
+    @pytest.mark.parametrize("sep", [b"\r", b"\t", b"\x0b", b"\x0c", b" #x\n"])
+    def test_header_separators(self, tmp_path, sep):
+        raster = bytes([0, 1, 0, 1, 1, 1, 0, 1, 0])
+        f = tmp_path / "m.pgm"
+        # one whitespace byte ends the header: the separator's last
+        f.write_bytes(sep.join([b"P5", b"3", b"3", b"255"]) + sep[-1:] + raster)
+        assert np.array_equal(_read_pgm(f), np.frombuffer(raster, np.uint8).reshape(3, 3) != 0)
 
     def test_truncated_raster(self, tmp_path):
         f = tmp_path / "m.pgm"
