@@ -245,6 +245,11 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 
 def select_stopping_times(k: int, rng: np.random.Generator) -> StoppingTimes:
     """Draw k sorted stopping times: a pinned 0 plus k-1 Uniform[0,1) draws."""
+    return StoppingTimes(_draw_times(k, rng))
+
+
+def _draw_times(k: int, rng: np.random.Generator) -> np.ndarray:
+    """The times of :func:`select_stopping_times`, valid by construction and not rechecked."""
     if k < 3:
         raise ValueError(f"need k >= 3 stopping times, got {k}")
     while True:
@@ -252,7 +257,7 @@ def select_stopping_times(k: int, rng: np.random.Generator) -> StoppingTimes:
         times = np.sort(np.concatenate(([0.0], draws)))
         # duplicate draws have probability ~k^2 * 2^-53; redraw rather than perturb
         if np.all(np.diff(times) > 0):
-            return StoppingTimes(times)
+            return times
 
 
 def evaluate(curve: ParamCurve, times: StoppingTimes) -> Contour:
@@ -273,19 +278,20 @@ def _interpolate(cum: np.ndarray, vertices: np.ndarray, s: np.ndarray) -> np.nda
     holds fractions in [0, 1) for that polygon.  Either side may have a
     single row, which is then shared by every row of the other.
     """
-    rows = max(len(cum), len(s))
-    fracs = np.broadcast_to(cum / cum[:, -1:], (rows, cum.shape[1]))  # 0 first, 1 last
-    closed = np.broadcast_to(np.concatenate((vertices, vertices[:, :1]), axis=1), fracs.shape)
-    s = np.broadcast_to(s, (rows, s.shape[1]))
-    idx = np.array([np.searchsorted(f, t, side="left") for f, t in zip(fracs, s)])
-    out = np.empty(s.shape, dtype=np.complex128)
-    exact = np.take_along_axis(fracs, idx, axis=1) == s
-    out[exact] = np.take_along_axis(closed, idx, axis=1)[exact]
-    r, c = np.nonzero(~exact)
-    j = idx[r, c]  # s strictly inside (fracs[r, j-1], fracs[r, j])
-    w = (s[r, c] - fracs[r, j - 1]) / (fracs[r, j] - fracs[r, j - 1])
-    out[r, c] = closed[r, j - 1] + w * (closed[r, j] - closed[r, j - 1])
-    return out
+    fracs = (cum / cum[:, -1:]).ravel()  # per row: 0 first, 1 last
+    closed = np.concatenate((vertices, vertices[:, :1]), axis=1).ravel()
+    if len(cum) == 1:
+        idx = np.searchsorted(fracs, s)
+    else:
+        s = np.broadcast_to(s, (len(cum), s.shape[1]))
+        idx = np.array([np.searchsorted(f, t) for f, t in zip(fracs.reshape(cum.shape), s)])
+    # flat indices of the first vertex at or past s and of the one before it
+    hi = cum.shape[1] * np.arange(len(cum))[:, None] + idx
+    lo = hi - 1
+    lo[idx == 0] += cum.shape[1]  # s == 0: before vertex 0 comes the closing vertex, vertex 0 again
+    at_hi = fracs[hi]
+    w = (s - fracs[lo]) / (at_hi - fracs[lo])  # s strictly inside (fracs[lo], at_hi) unless exact
+    return np.where(at_hi == s, closed[hi], closed[lo] + w * (closed[hi] - closed[lo]))
 
 
 def relative_length_error(reference_length: float, kgon: Contour) -> float:

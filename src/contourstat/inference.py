@@ -131,7 +131,7 @@ def neighborhood_test(
             "coincides with the sample mean shape, or the sample is concentrated "
             "at a single shape"
         )
-    t = math.sqrt(len(sample)) * (phi - radius**2) / s
+    t = math.sqrt(len(sample)) * (phi - radius * radius) / s
     return TestResult(
         squared_distance=phi,
         std_error=s,

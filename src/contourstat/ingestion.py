@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +85,14 @@ def _read_csv(path: Path) -> Contour:
         raise ParseError(path, None, f"cannot read file: {err}") from err
     except UnicodeDecodeError as err:
         raise ParseError(path, None, f"not an ASCII contour file: {err}") from err
-    points = []
+    rows = list(filter(None, map(str.strip, text.splitlines())))
+    try:
+        xy = np.array([*map(float, ",".join(rows).split(","))] if rows else [])
+    except ValueError:
+        xy = None
+    if xy is not None and set(map(str.count, rows, repeat(","))) <= {1} and np.isfinite(xy).all():
+        return _build_contour(xy.view(np.complex128), path)
+    # error path only: name the first bad line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
@@ -98,8 +106,7 @@ def _read_csv(path: Path) -> Contour:
             raise ParseError(path, lineno, f"bad coordinate in {raw!r}: {err}") from err
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(path, lineno, f"non-finite coordinate in {raw!r}")
-        points.append(complex(x, y))
-    return _build_contour(np.asarray(points, dtype=np.complex128), path)
+    raise AssertionError("unreachable: some CSV line failed the one-pass check")
 
 
 def _build_contour(points: np.ndarray, path: Path) -> Contour:
@@ -119,6 +126,9 @@ def _merge_close_points(points: np.ndarray) -> np.ndarray:
         float(points.imag.max() - points.imag.min()),
     )
     tol = MERGE_TOL * span
+    # no loop when every gap, the closing one included, clears tol by more than np.abs rounds
+    if (np.abs(np.diff(points, append=points[:1])) > 2.0 * tol).all():
+        return points
     kept = [points[0]]
     for z in points[1:]:
         if abs(z - kept[-1]) > tol:

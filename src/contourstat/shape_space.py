@@ -33,12 +33,12 @@ from .contour import (
     Contour,
     ParamCurve,
     _cum_lengths,
+    _draw_times,
     _freeze,
     _interpolate,
     _require_polygons,
     _substream,
     _unit_scaled,
-    select_stopping_times,
 )
 from .errors import DegenerateContourError, FocalDistributionError
 
@@ -288,43 +288,53 @@ def approximation_errors(
     from a substream keyed by (seed, k-index, repeat), one draw per curve in
     order.  When k equals a curve's own vertex count its vertex fractions are
     used instead and nothing is drawn (the k-gon is the curve itself), so the
-    errors are exactly zero.  Returns two (len(k_grid), repeats * len(curves))
-    arrays, each row in draw order: repeat-major, curve-minor.
+    length error is exactly zero and the shape error is chord roundoff.
+    Returns two (len(k_grid), repeats * len(curves)) arrays, each row in draw
+    order: repeat-major, curve-minor.
     """
+    refs = [_reference(curve) for curve in curves]
     rows = []
     for ki, k in enumerate(k_grid):
-        times = [[] for _ in curves]
+        times = np.empty((len(curves), repeats, k))
         for rep in range(repeats):
             rng = _substream(seed, ki, rep)
-            for curve_times, curve in zip(times, curves):
-                if k == len(curve):
-                    curve_times.append(curve.cum_lengths[:-1] / curve.total_length)
-                else:
-                    curve_times.append(select_stopping_times(k, rng).times)
-        errs = np.array([_approx_rows(c, np.array(t)) for c, t in zip(curves, times)])
-        # (curve, kind, repeat) -> per kind in draw order
-        rows.append(errs.transpose(1, 2, 0).reshape(2, -1))
+            for i, (curve, (ref_fracs, _)) in enumerate(zip(curves, refs)):
+                times[i, rep] = ref_fracs if k == len(curve) else _draw_times(k, rng)
+        # (kind, curve, repeat) -> per kind in draw order
+        rows.append(np.transpose(_approx_rows(curves, times, refs), (0, 2, 1)).reshape(2, -1))
     len_errs, shape_sqs = np.stack(rows, axis=1)
     return len_errs, shape_sqs
 
 
-def _approx_rows(curve: ParamCurve, times: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Relative length error and squared shape distance of the k-gon at each row of times.
+def _reference(curve: ParamCurve) -> tuple[np.ndarray, np.ndarray]:
+    """A contour's vertex fractions and preshape: what its k-gons are measured against."""
+    ref = _preshape_rows(_unit_scaled(curve.vertices[None]))[0]
+    return curve.cum_lengths[:-1] / curve.total_length, ref
 
-    Each k-gon is parameterized by its own arclength and evaluated at the
-    contour's vertex fractions; the shape error is the squared chord distance
-    from that configuration to the contour's vertices.
+
+def _approx_rows(
+    curves: Sequence[ParamCurve], times: np.ndarray, refs: Sequence[tuple[np.ndarray, np.ndarray]]
+) -> np.ndarray:
+    """Relative length errors and squared shape distances of k-gons: a (2, curves, repeats) array.
+
+    ``times[i]`` holds one row of stopping times per k-gon of ``curves[i]``,
+    and ``refs[i]`` is that curve's :func:`_reference`.  Each k-gon is
+    parameterized by its own arclength and evaluated at the contour's vertex
+    fractions; the shape error is the squared chord distance from that
+    configuration to the contour's vertices.
     """
-    kgons = _interpolate(curve.cum_lengths[None], curve.vertices[None], times)
+    kgons = np.array(
+        [_interpolate(c.cum_lengths[None], c.vertices[None], t) for c, t in zip(curves, times)]
+    )
     _require_polygons(kgons)
     cum = _cum_lengths(kgons)
-    if np.any(np.diff(cum, axis=1) <= 0):
+    if np.any(np.diff(cum) <= 0):
         raise DegenerateContourError("k-gon arclength is not strictly increasing")
-    len_errs = (curve.total_length - cum[:, -1]) / curve.total_length
-    ref_fracs = curve.cum_lengths[:-1] / curve.total_length
-    # a configuration, not a contour: a zero-area k-gon maps reference
-    # fractions f and 1 - f about its turning point to one point
-    kgons_at_ref = _interpolate(cum, kgons, ref_fracs[None])
-    ref = _preshape_rows(_unit_scaled(curve.vertices[None]))[0]
-    shape_sqs = [_chord(g, ref) ** 2 for g in _preshape_rows(_unit_scaled(kgons_at_ref))]
-    return len_errs, np.array(shape_sqs)
+    totals = np.array([c.total_length for c in curves])[:, None]
+    shape_sqs = [
+        # a configuration, not a contour: a zero-area k-gon maps reference
+        # fractions f and 1 - f about its turning point to one point
+        [_chord(g, ref) ** 2 for g in _preshape_rows(_unit_scaled(_interpolate(c, v, f[None])))]
+        for c, v, (f, ref) in zip(cum, kgons, refs)
+    ]
+    return np.array([(totals - cum[..., -1]) / totals, shape_sqs])

@@ -7,10 +7,14 @@ so the fast inner-product shortcuts can be checked against them.
 
 from dataclasses import dataclass
 
+import math
+
 import numpy as np
 
 import contourstat as cs
-from contourstat.contour import _arc_centroid, _freeze, _interpolate, _signed_area
+from contourstat.contour import _arc_centroid, _freeze, _require_finite, _signed_area
+from contourstat.ingestion import MERGE_TOL
+from contourstat.shape_space import _approx_rows, _reference
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -409,12 +413,40 @@ def assert_outer_boundary_walk(mask, trace):
 # approximation oracle
 
 
+def interpolate_oracle(cum, vertices, s):
+    """Frozen row-by-row form of ``contour._interpolate``, the reference for its bits.
+
+    One ``searchsorted`` per row, the exact hits and the interpolated points
+    gathered and scattered apart; the arguments are those of ``_interpolate``.
+    """
+    rows = max(len(cum), len(s))
+    fracs = np.broadcast_to(cum / cum[:, -1:], (rows, cum.shape[1]))  # 0 first, 1 last
+    closed = np.broadcast_to(np.concatenate((vertices, vertices[:, :1]), axis=1), fracs.shape)
+    s = np.broadcast_to(s, (rows, s.shape[1]))
+    idx = np.array([np.searchsorted(f, t, side="left") for f, t in zip(fracs, s)])
+    out = np.empty(s.shape, dtype=np.complex128)
+    exact = np.take_along_axis(fracs, idx, axis=1) == s
+    out[exact] = np.take_along_axis(closed, idx, axis=1)[exact]
+    r, c = np.nonzero(~exact)
+    j = idx[r, c]  # s strictly inside (fracs[r, j-1], fracs[r, j])
+    w = (s[r, c] - fracs[r, j - 1]) / (fracs[r, j] - fracs[r, j - 1])
+    out[r, c] = closed[r, j - 1] + w * (closed[r, j] - closed[r, j - 1])
+    return out
+
+
+def approx_rows(curve, times):
+    """``shape_space._approx_rows`` for one curve: (length errors, squared shape distances) per row of times."""
+    len_errs, shape_sqs = _approx_rows([curve], np.asarray(times)[None], [_reference(curve)])
+    return len_errs[0], shape_sqs[0]
+
+
 def approx_one(curve, k, rng):
-    """Scalar oracle for one row of ``shape_space._approx_rows``: one k-gon, the scalar chain.
+    """Scalar oracle for one row of :func:`approx_rows`: one k-gon, the scalar chain.
 
     Returns (relative length error, squared shape distance) of the k-gon at
     ``select_stopping_times(k, rng)``, or at the curve's own vertex fractions
-    when k equals its vertex count (no draw is made then).
+    when k equals its vertex count (no draw is made then).  Points on a
+    polygon come from :func:`interpolate_oracle`.
     """
     ref_fracs = cs.StoppingTimes(curve.cum_lengths[:-1] / curve.total_length)
     ref_points = curve.vertices
@@ -422,7 +454,9 @@ def approx_one(curve, k, rng):
         times = ref_fracs
     else:
         times = cs.select_stopping_times(k, rng)
-    kgon = cs.evaluate(curve, times)
+    kgon = cs.Contour(
+        interpolate_oracle(curve.cum_lengths[None], curve.vertices[None], times.times[None])[0]
+    )
     len_err = cs.relative_length_error(curve.total_length, kgon)
     if _signed_area(kgon.points) < 0:
         # mirror both configurations: arclengths and chord distance are kept
@@ -431,11 +465,59 @@ def approx_one(curve, k, rng):
     param = cs.ParamCurve(kgon.points)
     # the points of evaluate(), not a Contour: a zero-area k-gon can put two
     # reference fractions on one point
-    kgon_at_ref = _interpolate(
+    kgon_at_ref = interpolate_oracle(
         param.cum_lengths[None], param.vertices[None], ref_fracs.times[None]
     )[0]
     shape_sq = cs.chord_distance(cs.preshape(kgon_at_ref), cs.preshape(ref_points)) ** 2
     return len_err, shape_sq
+
+
+# ---------------------------------------------------------------------------
+# CSV oracle
+
+
+def read_csv_oracle(path):
+    """Frozen line-by-line form of ``ingestion._read_csv``: a Contour, or the ParseError it raises."""
+    text = path.read_text(encoding="ascii")
+    points = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != 2:
+            raise cs.ParseError(path, lineno, f"expected 'x,y', got {raw!r}")
+        try:
+            x, y = float(parts[0]), float(parts[1])
+        except ValueError as err:
+            raise cs.ParseError(path, lineno, f"bad coordinate in {raw!r}: {err}") from err
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise cs.ParseError(path, lineno, f"non-finite coordinate in {raw!r}")
+        points.append(complex(x, y))
+    points = np.asarray(points, dtype=np.complex128)
+    try:
+        _require_finite(points)
+        return cs.Contour(merge_close_points_oracle(points))
+    except cs.DegenerateContourError as err:
+        raise cs.ParseError(path, None, str(err)) from err
+
+
+def merge_close_points_oracle(points):
+    """Frozen loop form of ``ingestion._merge_close_points``, which now skips the loop when it can."""
+    if len(points) == 0:
+        return points
+    span = math.hypot(
+        float(points.real.max() - points.real.min()),
+        float(points.imag.max() - points.imag.min()),
+    )
+    tol = MERGE_TOL * span
+    kept = [points[0]]
+    for z in points[1:]:
+        if abs(z - kept[-1]) > tol:
+            kept.append(z)
+    while len(kept) > 1 and abs(kept[0] - kept[-1]) <= tol:
+        kept.pop()
+    return np.asarray(kept, dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------

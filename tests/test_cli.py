@@ -14,8 +14,7 @@ import contourstat as cs
 from contourstat import cli, shape_space
 from contourstat.cli import main
 from contourstat.contour import _signed_area
-from contourstat.shape_space import _approx_rows
-from support import approx_one, svg_path_coords, wobbly_points
+from support import approx_one, approx_rows, svg_path_coords, wobbly_points
 
 
 @pytest.fixture()
@@ -197,6 +196,18 @@ class TestTestCommand:
         assert code == 0
         for field in ("phi", "s_n", "T_n", "p_value", "critical_delta", "decision"):
             assert field in captured
+
+    @pytest.mark.parametrize("delta", ["1e200", "1e308", "inf"])
+    def test_huge_delta_fails_to_reject(self, sample_dir, capsys, delta):
+        # the squared radius overflows to inf, as --delta inf gives it
+        tmp_path, man = sample_dir
+        hyp = tmp_path / "hyp.csv"
+        cs.write_contour(cs.Contour(wobbly_points(100, amp3=0.32)), hyp)
+        argv = ["test", "--manifest", str(man), "--out", str(tmp_path / "o"), "--m0", str(hyp)]
+        assert main([*argv, "--delta", delta]) == 0
+        fields = dict(line.split(None, 1) for line in capsys.readouterr().out.splitlines())
+        assert fields["p_value"] == "1"
+        assert fields["decision"] == "fail-to-reject"
 
     def test_missing_delta_is_an_error(self, sample_dir, capsys):
         tmp_path, man = sample_dir
@@ -588,7 +599,7 @@ class TestApproxClockwiseKgon:
         curve = cs.canonicalize(cs.Contour(crescent_points()))
         ref_fracs = curve.cum_lengths[:-1] / curve.total_length
         times = [cs.select_stopping_times(4, np.random.default_rng(seed)) for seed in range(20)]
-        _, shape_sqs = _approx_rows(curve, np.array([t.times for t in times]))
+        _, shape_sqs = approx_rows(curve, np.array([t.times for t in times]))
         clockwise = 0
         for t, shape_sq in zip(times, shape_sqs):
             kgon = cs.evaluate(curve, t)
@@ -638,7 +649,7 @@ class TestApproxZeroAreaKgon:
         curve = cs.canonicalize(cs.Contour(np.array([0, 1, 1 + 1j, 1j])))
         ref_fracs = curve.cum_lengths[:-1] / curve.total_length
         times = [cs.select_stopping_times(3, np.random.default_rng(seed)) for seed in range(40)]
-        _, shape_sqs = _approx_rows(curve, np.array([t.times for t in times]))
+        _, shape_sqs = approx_rows(curve, np.array([t.times for t in times]))
         flat = 0
         for t, shape_sq in zip(times, shape_sqs):
             kgon = cs.evaluate(curve, t)
@@ -663,7 +674,7 @@ class TestApproxZeroAreaKgon:
         with pytest.raises(cs.DegenerateContourError, match="equal consecutive points"):
             cs.evaluate(cs.ParamCurve(kgon.points), cs.StoppingTimes(ref_fracs))
         at_ref = arclength_resample(kgon.points, ref_fracs)
-        _, shape_sqs = _approx_rows(curve, times.times[None])
+        _, shape_sqs = approx_rows(curve, times.times[None])
         expected = cs.chord_distance(cs.preshape(at_ref), cs.preshape(curve.vertices)) ** 2
         assert abs(shape_sqs[0] - expected) < 1e-12
         assert_rows_equal_oracle(curve, 3, [330])
@@ -708,7 +719,7 @@ class TestApproximationErrors:
 
 
 def assert_rows_equal_oracle(curve, k, seeds):
-    """_approx_rows on one batch is bit for bit the scalar oracle looped over it."""
+    """approx_rows on one batch is bit for bit the scalar oracle looped over it."""
     expected = [approx_one(curve, k, np.random.default_rng(seed)) for seed in seeds]
     if k == len(curve):
         times = np.tile(curve.cum_lengths[:-1] / curve.total_length, (len(seeds), 1))
@@ -716,7 +727,7 @@ def assert_rows_equal_oracle(curve, k, seeds):
         times = np.array(
             [cs.select_stopping_times(k, np.random.default_rng(seed)).times for seed in seeds]
         )
-    len_errs, shape_sqs = _approx_rows(curve, times)
+    len_errs, shape_sqs = approx_rows(curve, times)
     assert len_errs.tolist() == [e[0] for e in expected]
     assert shape_sqs.tolist() == [e[1] for e in expected]
 
@@ -742,7 +753,7 @@ class TestApproxRowsOracle:
     def test_k_equal_to_vertex_count(self):
         curve = cs.canonicalize(cs.Contour(wobbly_points(30)))
         assert_rows_equal_oracle(curve, 30, range(3))
-        len_errs, _ = _approx_rows(curve, curve.cum_lengths[None, :-1] / curve.total_length)
+        len_errs, _ = approx_rows(curve, curve.cum_lengths[None, :-1] / curve.total_length)
         assert len_errs.tolist() == [0.0]
 
     def test_batch_mixing_clockwise_flat_and_ordinary_rows(self):

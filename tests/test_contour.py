@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contourstat as cs
-from contourstat.contour import _require_polygons, _signed_area
+from contourstat.contour import _cum_lengths, _interpolate, _require_polygons, _signed_area
 from support import (
     center_of_mass,
+    interpolate_oracle,
     is_simple,
     max_edge_length,
     polygon_length,
@@ -330,6 +331,68 @@ class TestEvaluate:
         # 0.25 is exactly the fraction of vertex 1
         out = cs.evaluate(curve, cs.StoppingTimes([0.0, 0.25, 0.6]))
         assert out.points[1] == curve.vertices[1]
+
+
+def polygon_rows(rng, rows, m, flat):
+    """``rows`` polygons of m vertices: random ones, or flat (zero area) out-and-back paths.
+
+    Every other row is the first one turned by a quarter and scaled by a power
+    of two, which keeps its arclength fractions bit for bit, so fractions
+    taken from the first row hit vertices of those rows too.
+    """
+    if flat:
+        out = np.cumsum(rng.uniform(0.1, 1.0, (rows, m // 2 + 1)), axis=1)
+        back = out[:, -2::-1][:, : m - m // 2 - 1] - rng.uniform(0.0, 0.05, (rows, 1))
+        verts = np.concatenate((out, back), axis=1).astype(np.complex128)
+    else:
+        verts = rng.standard_normal((rows, m)) + 1j * rng.standard_normal((rows, m))
+    verts[1::2] = verts[0] * 1j * 2.0 ** rng.integers(-40, 40, (len(verts[1::2]), 1))
+    return verts
+
+
+def fraction_rows(rng, rows, width, vertex_fracs):
+    """Sorted fractions in [0, 1), 0 first, some of them vertex fractions exactly."""
+    out = []
+    for _ in range(rows):
+        s = np.concatenate(([0.0], rng.uniform(0.0, 1.0, width), rng.choice(vertex_fracs, width)))
+        out.append(np.unique(s)[:width])
+    return np.array(out)
+
+
+class TestInterpolateOracle:
+    """``_interpolate`` gives the bits of the frozen row-by-row ``support.interpolate_oracle``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        layout=st.sampled_from(["one-cum", "one-s", "rows", "single"]),
+        rows=st.integers(2, 7),
+        m=st.integers(3, 30),
+        width=st.integers(1, 40),
+        flat=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits(self, layout, rows, m, width, flat, seed):
+        rng = np.random.default_rng(seed)
+        cum_rows = 1 if layout in ("one-cum", "single") else rows
+        s_rows = 1 if layout in ("one-s", "single") else rows
+        verts = polygon_rows(rng, cum_rows, m, flat)
+        cum = _cum_lengths(verts)
+        if flat:
+            assert all(_signed_area(v) == 0.0 for v in verts)
+        s = fraction_rows(rng, s_rows, width, (cum[0] / cum[0, -1])[:-1])
+        got = _interpolate(cum, verts, s)
+        want = interpolate_oracle(cum, verts, s)
+        assert got.shape == want.shape == (max(cum_rows, s_rows), s.shape[1])
+        assert got.tobytes() == want.tobytes()
+
+    def test_exact_hits_return_the_vertices(self):
+        rng = np.random.default_rng(5)
+        verts = polygon_rows(rng, 4, 9, flat=False)
+        cum = _cum_lengths(verts)
+        fracs = (cum[0] / cum[0, -1])[None, :-1]
+        got = _interpolate(cum, verts, fracs)
+        assert got[1::2].tobytes() == verts[1::2].tobytes()
+        assert got.tobytes() == interpolate_oracle(cum, verts, fracs).tobytes()
 
 
 class TestMaxEdgeLength:

@@ -18,6 +18,7 @@ from support import (
     assert_outer_boundary_walk,
     flood_fill_components,
     moore_trace,
+    read_csv_oracle,
     wobbly_points,
 )
 
@@ -179,6 +180,60 @@ class TestReadCsv:
         eps = 1e-15
         f.write_text(f"0,0\n{eps},0\n1,0\n1,1\n0,1\n")
         assert len(cs.read_contour(f)) == 4
+
+
+    @pytest.mark.parametrize("text", ["", "\n  \n\r\n\t\n"], ids=["empty", "blank-only"])
+    def test_no_points(self, tmp_path, text):
+        f = tmp_path / "c.csv"
+        f.write_text(text)
+        with pytest.raises(cs.ParseError, match=r"c\.csv: contour needs >= 3 points, got 0$"):
+            cs.read_contour(f)
+
+
+def csv_case(rng):
+    """Bytes of a CSV contour with blank lines, spaces, CRLF, closing and merged duplicates, maybe a bad line."""
+    scale = 10.0 ** rng.integers(-3, 4)
+    pts = (wobbly_points(int(rng.integers(3, 12)), phase=rng.uniform(0, 6)) * scale).tolist()
+    diag = 2.0 * max(abs(z) for z in pts)  # about the bounding-box diagonal
+    for _ in range(rng.integers(0, 3)):  # runs of points closer than MERGE_TOL * diagonal
+        i = int(rng.integers(len(pts)))
+        pts[i + 1 : i + 1] = [pts[i] + rng.uniform(-0.4, 0.4) * ingestion.MERGE_TOL * diag] * int(rng.integers(1, 4))
+    closing = rng.choice(["none", "exact", "near", "far"])
+    if closing != "none":
+        scale = {"exact": 0.0, "near": 0.3, "far": 3.0}[closing] * ingestion.MERGE_TOL * diag
+        pts.append(pts[0] + scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
+    if rng.uniform() < 0.1:  # too few points
+        pts = pts[: rng.integers(0, 3)]
+    lines = [f"{' ' * rng.integers(3)}{z.real!r}{' ' * rng.integers(2)},{' ' * rng.integers(2)}{z.imag!r}\t" for z in pts]
+    for _ in range(rng.integers(0, 3)):
+        lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
+    if rng.uniform() < 0.6:
+        bad = rng.choice(["1_0,2", "nan,1", "1,inf", "-inf,0", "abc,1", ",1", "5", "1,2,3", "1;2", "1_0,2_5"])
+        lines.insert(int(rng.integers(len(lines) + 1)), bad)
+    return (rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])).encode()
+
+
+class TestReadCsvOracle:
+    """The one-pass CSV reader agrees with the frozen line loop of ``support.read_csv_oracle``."""
+
+    def test_same_points_or_same_error(self, tmp_path):
+        f = tmp_path / "c.csv"
+        outcomes = set()
+        for seed in range(600):
+            f.write_bytes(csv_case(np.random.default_rng(seed)))
+            try:
+                want = read_csv_oracle(f)
+            except cs.ParseError as err:
+                with pytest.raises(cs.ParseError) as got:
+                    cs.read_contour(f)
+                assert (str(got.value), got.value.line) == (str(err), err.line), seed
+                outcomes.add("line error" if err.line else "file error")
+            else:
+                got = cs.read_contour(f)
+                assert got.points.tobytes() == want.points.tobytes(), seed
+                rows = [line for line in f.read_text().splitlines() if line.strip()]
+                outcomes.add("merged" if len(want) < len(rows) else "points")
+        assert outcomes == {"points", "merged", "line error", "file error"}
 
 
 class TestWriteContour:
