@@ -435,7 +435,7 @@ def interpolate_oracle(cum, vertices, s):
 
 
 def approx_rows(curve, times):
-    """``shape_space._approx_rows`` for one curve: (length errors, squared shape distances) per row of times."""
+    """``shape_space._approx_rows`` for one curve: its length errors and squared shape distances."""
     len_errs, shape_sqs = _approx_rows([curve], np.asarray(times)[None], [_reference(curve)])
     return len_errs[0], shape_sqs[0]
 
@@ -477,7 +477,7 @@ def approx_one(curve, k, rng):
 
 
 def read_csv_oracle(path):
-    """Frozen line-by-line form of ``ingestion._read_csv``: a Contour, or the ParseError it raises."""
+    """Frozen line loop of ``ingestion._read_csv``: a Contour, or the ParseError it raises."""
     text = path.read_text(encoding="ascii")
     points = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -503,7 +503,7 @@ def read_csv_oracle(path):
 
 
 def merge_close_points_oracle(points):
-    """Frozen loop form of ``ingestion._merge_close_points``, which now skips the loop when it can."""
+    """Frozen loop of ``ingestion._merge_close_points``, which now skips it when it can."""
     if len(points) == 0:
         return points
     span = math.hypot(

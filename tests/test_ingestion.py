@@ -191,24 +191,29 @@ class TestReadCsv:
 
 
 def csv_case(rng):
-    """Bytes of a CSV contour with blank lines, spaces, CRLF, closing and merged duplicates, maybe a bad line."""
+    """A CSV contour's bytes: blank lines, spaces, CRLF, closing and close points, maybe a bad line."""
     scale = 10.0 ** rng.integers(-3, 4)
     pts = (wobbly_points(int(rng.integers(3, 12)), phase=rng.uniform(0, 6)) * scale).tolist()
     diag = 2.0 * max(abs(z) for z in pts)  # about the bounding-box diagonal
     for _ in range(rng.integers(0, 3)):  # runs of points closer than MERGE_TOL * diagonal
         i = int(rng.integers(len(pts)))
-        pts[i + 1 : i + 1] = [pts[i] + rng.uniform(-0.4, 0.4) * ingestion.MERGE_TOL * diag] * int(rng.integers(1, 4))
+        near = pts[i] + rng.uniform(-0.4, 0.4) * ingestion.MERGE_TOL * diag
+        pts[i + 1 : i + 1] = [near] * int(rng.integers(1, 4))
     closing = rng.choice(["none", "exact", "near", "far"])
     if closing != "none":
         scale = {"exact": 0.0, "near": 0.3, "far": 3.0}[closing] * ingestion.MERGE_TOL * diag
         pts.append(pts[0] + scale * complex(rng.uniform(-1, 1), rng.uniform(-1, 1)))
     if rng.uniform() < 0.1:  # too few points
         pts = pts[: rng.integers(0, 3)]
-    lines = [f"{' ' * rng.integers(3)}{z.real!r}{' ' * rng.integers(2)},{' ' * rng.integers(2)}{z.imag!r}\t" for z in pts]
+
+    def pad():
+        return " " * int(rng.integers(3))
+
+    lines = [f"{pad()}{z.real!r}{pad()},{pad()}{z.imag!r}\t" for z in pts]
     for _ in range(rng.integers(0, 3)):
         lines.insert(int(rng.integers(len(lines) + 1)), rng.choice(["", "  ", "\t"]))
     if rng.uniform() < 0.6:
-        bad = rng.choice(["1_0,2", "nan,1", "1,inf", "-inf,0", "abc,1", ",1", "5", "1,2,3", "1;2", "1_0,2_5"])
+        bad = rng.choice(["1_0,2", "nan,1", "1,inf", "-inf,0", "abc,1", ",1", "5", "1,2,3", "1;2"])
         lines.insert(int(rng.integers(len(lines) + 1)), bad)
     return (rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])).encode()
 

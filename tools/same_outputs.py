@@ -33,20 +33,18 @@ from workloads import WORKLOADS, generate  # noqa: E402
 
 def outputs(src: Path, step: str, argv: list[str], out: Path) -> dict:
     """Exit code, normalized stdout/stderr and written files of one command."""
-    env = dict(os.environ, PYTHONPATH=str(src))
-    env.pop("SHAPE_THREADS", None)
+    env = dict(os.environ, PYTHONPATH=str(src))  # importing run dropped SHAPE_THREADS
     if step == "bootstrap-par":
         env["SHAPE_THREADS"] = str(run.NPROC)
     out.mkdir(parents=True)
     proc = subprocess.run(
         [sys.executable, "-m", "contourstat", *argv], env=env, capture_output=True, text=True
     )
-    files = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     return {
         "exit code": proc.returncode,
         "stdout": proc.stdout.replace(str(out), "<out>"),
         "stderr": proc.stderr.replace(str(out), "<out>"),
-        **{f"file {name}": data for name, data in files.items()},
+        **{f"file {p.name}": p.read_bytes() for p in sorted(out.iterdir())},
     }
 
 
