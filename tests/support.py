@@ -5,9 +5,8 @@ explicit Hilbert-Schmidt arithmetic (materialized frames, term-by-term sums)
 so the fast inner-product shortcuts can be checked against them.
 """
 
-from dataclasses import dataclass
-
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
