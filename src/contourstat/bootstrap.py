@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .contour import _freeze, _substream
+from .contour import _fill, _substream
 from .errors import FocalDistributionError
 from .shape_space import Preshape, chord_distance, extrinsic_mean
 
@@ -62,9 +62,7 @@ class BootstrapRegion:
         if np.any(d < 0):
             raise ValueError("distances must be nonnegative")
         radius = float(np.sort(d)[_quantile_index(self.alpha, b) - 1])
-        object.__setattr__(self, "distances", _freeze(d))
-        object.__setattr__(self, "radius", radius)
-        object.__setattr__(self, "included", _freeze(d <= radius))
+        _fill(self, distances=d, radius=radius, included=d <= radius)
 
 
 def _require_alpha(alpha: float) -> None:
@@ -162,4 +160,4 @@ def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:
     ip = np.vdot(shape.coords, reference.coords)
     if ip == 0:
         return shape
-    return Preshape(shape.coords * (ip / abs(ip)))
+    return _fill(Preshape, coords=shape.coords * (ip / abs(ip)))

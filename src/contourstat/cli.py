@@ -29,6 +29,7 @@ from .contour import Contour, StoppingTimes, canonicalize, evaluate
 from .errors import ContourStatError
 from .inference import critical_radius, neighborhood_test
 from .ingestion import (
+    MAX_K,
     SampleManifest,
     load_sample,
     parse_manifest,
@@ -54,6 +55,10 @@ __all__ = ["main"]
 MEAN_STYLE = PathStyle(stroke="#d62728", width=1.6)
 BOOT_STYLE = PathStyle(stroke="#1f77b4", width=0.8, opacity=0.35)
 PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
+
+# the most k-gon vertices approx may hold at once, --repeats x contours x the
+# largest k: each costs about 50 bytes at the peak
+MAX_APPROX_VERTICES = 10_000_000
 
 
 def main(argv=None) -> int:
@@ -149,11 +154,19 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
         raise ContourStatError(f"--k-grid must list integers, got {text!r}") from None
     if not k_grid or min(k_grid) < 3:
         raise ContourStatError(f"--k-grid must list one or more k >= 3, got {text!r}")
+    if max(k_grid) > MAX_K:
+        raise ContourStatError(f"--k-grid values must be <= {MAX_K}, got {max(k_grid)}")
     return k_grid
 
 
 def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
     """Approximation quality over a grid of k: length error and shape distance."""
+    n, k = len(manifest.entries), max(args.k_grid)
+    if args.repeats * n * k > MAX_APPROX_VERTICES:
+        raise ContourStatError(
+            f"--repeats {args.repeats} x {n} contours x k {k} = {args.repeats * n * k} k-gon "
+            f"vertices, more than the limit of {MAX_APPROX_VERTICES}"
+        )
     curves = read_curves(manifest)
     len_errs, shape_sqs = approximation_errors(curves, args.k_grid, args.repeats, manifest.seed)
     rows = [

@@ -45,6 +45,21 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _fill(value, **fields):
+    """Set the fields of a frozen value, arrays as read-only copies, and return it.
+
+    ``value`` is an instance, from its ``__post_init__`` once the checks have
+    passed, or a value type, whose new instance skips them: library code does
+    that only for values it derives from checked ones by operations that keep
+    what the checks ensured.
+    """
+    if isinstance(value, type):
+        value = object.__new__(value)
+    for name, val in fields.items():
+        object.__setattr__(value, name, _freeze(val) if isinstance(val, np.ndarray) else val)
+    return value
+
+
 def _closed_edges(points: np.ndarray) -> np.ndarray:
     """Edge vectors of the closed polygon (one per row), closing edge included."""
     return np.roll(points, -1, axis=-1) - points
@@ -137,7 +152,7 @@ class Contour:
             raise DegenerateContourError(f"contour needs >= 3 points, got {len(pts)}")
         _require_finite(pts)
         _require_polygons(pts)
-        object.__setattr__(self, "points", _freeze(pts))
+        _fill(self, points=pts)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -170,9 +185,7 @@ class ParamCurve:
         _require_polygons(verts)  # after the check above, only its distinct-point test can fail
         if _signed_area(verts) < 0:
             raise ValueError("curve must be oriented counterclockwise")
-        object.__setattr__(self, "vertices", _freeze(verts))
-        object.__setattr__(self, "cum_lengths", _freeze(cum))
-        object.__setattr__(self, "total_length", float(cum[-1]))
+        _fill(self, vertices=verts, cum_lengths=cum, total_length=float(cum[-1]))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -198,7 +211,7 @@ class StoppingTimes:
             raise ValueError("stopping times must be strictly increasing")
         if t[-1] >= 1.0:
             raise ValueError("stopping times must lie in [0, 1)")
-        object.__setattr__(self, "times", _freeze(t))
+        _fill(self, times=t)
 
     @property
     def k(self) -> int:
@@ -216,15 +229,16 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     the arclength center of mass; among vertices whose distance is within
     1e-9 of the maximum (relative to the diameter) the tie is broken by the
     smallest counterclockwise angle from the positive real axis about the
-    center.
+    center.  Raises :class:`DegenerateContourError` when the signed area is
+    zero, or when the arclength of the result is not strictly increasing: an
+    edge too short to change the running length it is added to.
     """
     pts = contour.vertices if isinstance(contour, ParamCurve) else contour.points
-    pts = np.array(pts, copy=True)
     area = _signed_area(pts)
     if area == 0.0:
         raise DegenerateContourError("contour has zero signed area; orientation undefined")
     if area < 0.0:
-        pts = pts[::-1].copy()
+        pts = pts[::-1]
     # decided on exactly rescaled points, so that no product over- or underflows
     scaled = _unit_scaled(pts)
     center = _arc_centroid(scaled)
@@ -236,7 +250,14 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     candidates = np.nonzero(radii >= rmax - tol)[0]
     angles = np.mod(np.angle(scaled[candidates] - center), 2.0 * np.pi)
     start = int(candidates[np.argmin(angles)])
-    return ParamCurve(np.roll(pts, -start))
+    # a reversal and a rotation of a checked contour keep it finite, a polygon
+    # and, by _signed_area's exactness, counterclockwise; only its arclength
+    # can stall, on an edge lost to rounding against the length before it
+    verts = np.roll(pts, -start)
+    cum = _cum_lengths(verts)
+    if np.any(np.diff(cum) <= 0):
+        raise DegenerateContourError("contour arclength is not strictly increasing")
+    return _fill(ParamCurve, vertices=verts, cum_lengths=cum, total_length=float(cum[-1]))
 
 
 def _substream(seed: int, *key: int) -> np.random.Generator:
@@ -245,11 +266,6 @@ def _substream(seed: int, *key: int) -> np.random.Generator:
 
 def select_stopping_times(k: int, rng: np.random.Generator) -> StoppingTimes:
     """Draw k sorted stopping times: a pinned 0 plus k-1 Uniform[0,1) draws."""
-    return StoppingTimes(_draw_times(k, rng))
-
-
-def _draw_times(k: int, rng: np.random.Generator) -> np.ndarray:
-    """The times of :func:`select_stopping_times`, valid by construction and not rechecked."""
     if k < 3:
         raise ValueError(f"need k >= 3 stopping times, got {k}")
     while True:
@@ -257,7 +273,7 @@ def _draw_times(k: int, rng: np.random.Generator) -> np.ndarray:
         times = np.sort(np.concatenate(([0.0], draws)))
         # duplicate draws have probability ~k^2 * 2^-53; redraw rather than perturb
         if np.all(np.diff(times) > 0):
-            return times
+            return _fill(StoppingTimes, times=times)
 
 
 def evaluate(curve: ParamCurve, times: StoppingTimes) -> Contour:
@@ -306,7 +322,7 @@ def union_of_times(times_list: Sequence[StoppingTimes]) -> StoppingTimes:
     if not times_list:
         raise ValueError("empty list of stopping times")
     merged = np.unique(np.concatenate([t.times for t in times_list]))
-    return StoppingTimes(merged)
+    return _fill(StoppingTimes, times=merged)
 
 
 def build_correspondence(

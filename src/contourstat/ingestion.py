@@ -63,6 +63,10 @@ __all__ = [
 # diagonal counts as the same point
 MERGE_TOL = 1e-12
 
+# the largest k a manifest, --k or --k-grid may ask for: far beyond any useful
+# resolution, and small enough that k points per contour can be allocated
+MAX_K = 1_000_000
+
 
 def read_contour(path) -> Contour:
     """Read a contour from a PGM mask (a ``.pgm`` suffix, any case) or else a CSV point list."""
@@ -393,6 +397,8 @@ class SampleManifest:
             raise ManifestError(f"unknown correspondence strategy: {self.strategy!r}")
         if self.k < 3:
             raise ManifestError(f"k must be >= 3, got {self.k}")
+        if self.k > MAX_K:
+            raise ManifestError(f"k must be <= {MAX_K}, got {self.k}")
         if self.seed < 0:
             raise ManifestError("seed must be a nonnegative integer")
 

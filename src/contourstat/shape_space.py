@@ -33,12 +33,13 @@ from .contour import (
     Contour,
     ParamCurve,
     _cum_lengths,
-    _draw_times,
+    _fill,
     _freeze,
     _interpolate,
     _require_polygons,
     _substream,
     _unit_scaled,
+    select_stopping_times,
 )
 from .errors import DegenerateContourError, FocalDistributionError
 
@@ -80,7 +81,7 @@ class Preshape:
         nrm = np.linalg.norm(c)
         if abs(nrm - 1.0) > 1e-12:
             raise ValueError(f"preshape is not unit norm: ||coords|| = {nrm!r}")
-        object.__setattr__(self, "coords", _freeze(c))
+        _fill(self, coords=c)
 
     @property
     def dimension(self) -> int:
@@ -111,8 +112,7 @@ class EigenSystem:
         gram = v.conj().T @ v
         if abs(gram - np.eye(len(w))).max() > 1e-10:
             raise ValueError("eigenvectors are not orthonormal within 1e-10")
-        object.__setattr__(self, "eigenvalues", _freeze(w))
-        object.__setattr__(self, "eigenvectors", _freeze(v))
+        _fill(self, eigenvalues=w, eigenvectors=v)
 
     @property
     def dimension(self) -> int:
@@ -130,7 +130,7 @@ def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
     pts = points.points if isinstance(points, Contour) else np.asarray(points, dtype=np.complex128)
     if pts.ndim != 1 or len(pts) < 3:
         raise ValueError("need at least 3 ordered points")
-    return Preshape(_preshape_rows(_unit_scaled(pts[None]))[0])
+    return _fill(Preshape, coords=_preshape_rows(_unit_scaled(pts[None]))[0])
 
 
 def _preshape_rows(points: np.ndarray) -> np.ndarray:
@@ -250,7 +250,7 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     # the top eigenvector is centered and unit-norm only to eigensolver
     # roundoff, which grows with n and k: re-center and renormalize it as
     # preshape() would, less the rescale that a unit vector does not need
-    return Preshape(_preshape_rows(es.eigenvectors[None, :, 0])[0]), es
+    return _fill(Preshape, coords=_preshape_rows(es.eigenvectors[None, :, 0])[0]), es
 
 
 def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.ndarray:
@@ -292,24 +292,18 @@ def approximation_errors(
     Returns two (len(k_grid), repeats * len(curves)) arrays, each row in draw
     order: repeat-major, curve-minor.
     """
-    refs = [_reference(curve) for curve in curves]
+    refs = [(c.cum_lengths[:-1] / c.total_length, preshape(c.vertices).coords) for c in curves]
     rows = []
     for ki, k in enumerate(k_grid):
         times = np.empty((len(curves), repeats, k))
         for rep in range(repeats):
             rng = _substream(seed, ki, rep)
             for i, (curve, (ref_fracs, _)) in enumerate(zip(curves, refs)):
-                times[i, rep] = ref_fracs if k == len(curve) else _draw_times(k, rng)
+                times[i, rep] = ref_fracs if k == len(curve) else select_stopping_times(k, rng).times
         # (kind, curve, repeat) -> per kind in draw order
         rows.append(np.transpose(_approx_rows(curves, times, refs), (0, 2, 1)).reshape(2, -1))
     len_errs, shape_sqs = np.stack(rows, axis=1)
     return len_errs, shape_sqs
-
-
-def _reference(curve: ParamCurve) -> tuple[np.ndarray, np.ndarray]:
-    """A contour's vertex fractions and preshape: what its k-gons are measured against."""
-    ref = _preshape_rows(_unit_scaled(curve.vertices[None]))[0]
-    return curve.cum_lengths[:-1] / curve.total_length, ref
 
 
 def _approx_rows(
@@ -318,10 +312,10 @@ def _approx_rows(
     """Relative length errors and squared shape distances of k-gons: a (2, curves, repeats) array.
 
     ``times[i]`` holds one row of stopping times per k-gon of ``curves[i]``,
-    and ``refs[i]`` is that curve's :func:`_reference`.  Each k-gon is
-    parameterized by its own arclength and evaluated at the contour's vertex
-    fractions; the shape error is the squared chord distance from that
-    configuration to the contour's vertices.
+    and ``refs[i]`` that curve's vertex fractions and preshape coordinates.
+    Each k-gon is parameterized by its own arclength and evaluated at the
+    contour's vertex fractions; the shape error is the squared chord
+    distance from that configuration to the contour's vertices.
     """
     kgons = np.array(
         [_interpolate(c.cum_lengths[None], c.vertices[None], t) for c, t in zip(curves, times)]

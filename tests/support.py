@@ -5,15 +5,18 @@ explicit Hilbert-Schmidt arithmetic (materialized frames, term-by-term sums)
 so the fast inner-product shortcuts can be checked against them.
 """
 
+import dataclasses
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+import pytest
 
 import contourstat as cs
-from contourstat.contour import _arc_centroid, _freeze, _require_finite, _signed_area
+from contourstat.contour import _arc_centroid, _fill, _freeze, _require_finite, _signed_area
 from contourstat.ingestion import MERGE_TOL
-from contourstat.shape_space import _approx_rows, _reference
+from contourstat.shape_space import _approx_rows
 
 
 def wobbly_points(K=400, amp3=0.25, amp7=0.1, phase=0.0):
@@ -435,7 +438,8 @@ def interpolate_oracle(cum, vertices, s):
 
 def approx_rows(curve, times):
     """``shape_space._approx_rows`` for one curve: its length errors and squared shape distances."""
-    len_errs, shape_sqs = _approx_rows([curve], np.asarray(times)[None], [_reference(curve)])
+    ref = (curve.cum_lengths[:-1] / curve.total_length, cs.preshape(curve.vertices).coords)
+    len_errs, shape_sqs = _approx_rows([curve], np.asarray(times)[None], [ref])
     return len_errs[0], shape_sqs[0]
 
 
@@ -542,3 +546,64 @@ def svg_path_coords(pts):
     ``pts`` is an (m, 2) array of (x, y) rows, already in SVG orientation.
     """
     return " L ".join(f"{x:.8g} {y:.8g}" for x, y in pts)
+
+
+# ---------------------------------------------------------------------------
+# the unchecked constructor against the public ones
+
+
+def checked_fill(fill):
+    """Wrap ``contour._fill`` so that each value it builds unchecked is also built checked.
+
+    A value type handed to the wrapper gets the same init fields through its
+    public constructor too, which must accept them and derive bit-equal
+    fields; an instance (a public constructor filling itself) passes
+    through.  A disagreement raises AssertionError, which no command turns
+    into an exit code.
+    """
+
+    def checked(value, **fields):
+        made = fill(value, **fields)
+        if isinstance(value, type):
+            init = {f.name: fields[f.name] for f in dataclasses.fields(value) if f.init}
+            try:
+                public = value(**init)
+            except Exception as err:
+                raise AssertionError(
+                    f"the public {value.__name__} rejects a value built unchecked: {err!r}"
+                ) from err
+            for f in dataclasses.fields(value):
+                got, want = getattr(made, f.name), getattr(public, f.name)
+                assert type(got) is type(want) and _bits(got) == _bits(want), (
+                    f"{value.__name__}.{f.name} built unchecked differs from its public constructor's"
+                )
+        return made
+
+    return checked
+
+
+def _bits(value):
+    arr = np.asarray(value)
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def assert_frozen_and_unaliased(value, *inputs):
+    """Every array field of a value is read-only and shares no memory with the input arrays."""
+    for f in dataclasses.fields(value):
+        field = getattr(value, f.name)
+        if isinstance(field, np.ndarray):
+            assert not field.flags.writeable, f.name
+            assert not any(np.shares_memory(field, arr) for arr in inputs), f.name
+
+
+@pytest.fixture
+def public_constructors_agree(monkeypatch):
+    """Check every value the library builds unchecked against its public constructor.
+
+    Wraps ``_fill`` with :func:`checked_fill` in every contourstat module
+    that binds it.
+    """
+    checked = checked_fill(_fill)
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "contourstat" and getattr(module, "_fill", None) is _fill:
+            monkeypatch.setattr(module, "_fill", checked)

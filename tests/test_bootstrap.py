@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import contourstat as cs
 import contourstat.bootstrap as bootstrap_module
 from contourstat.bootstrap import _substream
-from support import (
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
+    assert_frozen_and_unaliased,
     centered_basis,
     dense_extrinsic_mean,
     dense_resample_mean,
     draw_tangent_gaussian,
     model_base,
+    public_constructors_agree,
     random_preshape,
     wobbly_contour,
 )
@@ -199,6 +201,7 @@ class RecordingRng:
 class TestSpanPath:
     """Bootstrap regions of n < k samples agree with the explicit k x k path."""
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=30, deadline=None)
     @given(
         n=st.integers(2, 12),
@@ -289,3 +292,8 @@ class TestAlignRotation:
         for theta in np.linspace(0, 2 * math.pi, 360, endpoint=False):
             other = np.vdot(g.coords, h.coords * np.exp(1j * theta)).real
             assert achieved >= other - 1e-12
+
+    def test_frozen_and_unaliased(self):
+        rng = np.random.default_rng(20)
+        g, h = random_preshape(6, rng), random_preshape(6, rng)
+        assert_frozen_and_unaliased(cs.align_rotation(h, g), h.coords, g.coords)

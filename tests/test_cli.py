@@ -1,5 +1,6 @@
 import ast
 import errno
+import math
 import os
 import re
 import warnings
@@ -14,7 +15,13 @@ import contourstat as cs
 from contourstat import cli, shape_space
 from contourstat.cli import main
 from contourstat.contour import _signed_area
-from support import approx_one, approx_rows, svg_path_coords, wobbly_points
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
+    approx_one,
+    approx_rows,
+    public_constructors_agree,
+    svg_path_coords,
+    wobbly_points,
+)
 
 
 @pytest.fixture()
@@ -254,6 +261,10 @@ class TestBadOptions:
             (["bootstrap", "--B", "10"], "--B must be at least 50 resamples, got 10"),
             (["bootstrap", "--alpha", "1.5"], "--alpha must lie in (0, 1), got 1.5"),
             (["test", "--solve-delta", "--m0", "c0.csv", "--alpha", "0"], "--alpha must lie in (0, 1), got 0"),
+            (["approx", "--k-grid", f"5,{10**21}"], f"--k-grid values must be <= 1000000, got {10**21}"),
+            (["approx", "--k-grid", "1000001"], "--k-grid values must be <= 1000000, got 1000001"),
+            (["mean", "--k", str(10**21)], f"k must be <= 1000000, got {10**21}"),
+            (["plot", "--k", "1000001"], "k must be <= 1000000, got 1000001"),
         ],
     )
     def test_exit_two_with_message(self, sample_dir, capsys, argv, message):
@@ -265,6 +276,19 @@ class TestBadOptions:
         assert err == f"error: {message}\n"
         assert not out.exists()
 
+
+    def test_approx_vertex_count_checked_before_the_contours_are_read(self, tmp_path, capsys):
+        # eight entries, none of them readable: the ceiling is checked first
+        man = tmp_path / "m.manifest"
+        man.write_text("".join(f"contour id{i} missing{i}.csv\n" for i in range(8)))
+        argv = ["approx", "--manifest", str(man), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--k-grid", "5,250000", "--repeats", "6"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --repeats 6 x 8 contours x k 250000 = 12000000 k-gon vertices, "
+            "more than the limit of 10000000\n"
+        )
+        assert main([*argv, "--k-grid", "5,250000", "--repeats", "5"]) == 2
+        assert "entry 'id0'" in capsys.readouterr().err
 
     def test_options_checked_before_the_manifest_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
@@ -353,6 +377,18 @@ class TestOneContourManifest:
         assert main([command, "--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
 
 
+def write_zigzag(path, n):
+    """A zig-zag of n unit-height teeth, a step just over MERGE_TOL, then an apex above it.
+
+    The step, 1.5e-12 of the bounding-box diagonal, survives ingestion's point
+    merging, but from n = 40,000 on it is under half an ulp of the arclength
+    before it, so adding it does not move the running length.
+    """
+    teeth = np.linspace(0.0, 1.0, n) + 1j * (np.arange(n) % 2)
+    step = 1j * 1.5e-12 * math.hypot(1.0, 2.0)
+    cs.write_contour(cs.Contour(np.append(teeth, [teeth[-1] + step, 0.5 + 2j])), path)
+
+
 class TestFailuresNameTheirInput:
     """A contour that cannot be canonicalized is named in the exit-2 message."""
 
@@ -366,6 +402,30 @@ class TestFailuresNameTheirInput:
         code = main([command, "--manifest", str(man), "--out", str(tmp_path / "o")])
         assert code == 2
         assert capsys.readouterr().err == f"error: entry 'flat': {self.ZERO_AREA}\n"
+
+    STALLED = "contour arclength is not strictly increasing"
+
+    def test_stalled_arclength_entry_is_named(self, sample_dir, capsys):
+        tmp_path, man = sample_dir
+        write_zigzag(tmp_path / "zig.csv", 40_000)
+        man.write_text(man.read_text() + "contour zig zig.csv\n")
+        code = main(["mean", "--manifest", str(man), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: entry 'zig': {self.STALLED}\n"
+
+    def test_stalled_arclength_m0_is_named(self, sample_dir, capsys):
+        tmp_path, man = sample_dir
+        hyp = tmp_path / "zig.csv"
+        write_zigzag(hyp, 40_000)
+        argv = ["test", "--manifest", str(man), "--out", str(tmp_path / "o"), "--delta", "0.1"]
+        assert main([*argv, "--m0", str(hyp)]) == 2
+        assert capsys.readouterr().err == f"error: --m0 {hyp}: {self.STALLED}\n"
+
+    def test_shorter_zigzag_keeps_its_step(self, sample_dir):
+        tmp_path, man = sample_dir
+        write_zigzag(tmp_path / "zig.csv", 20_000)
+        man.write_text(man.read_text() + "contour zig zig.csv\n")
+        assert main(["mean", "--manifest", str(man), "--out", str(tmp_path / "o")]) == 0
 
     @pytest.mark.parametrize("mode", [["--delta", "0.1"], ["--solve-delta"]])
     def test_m0_path_is_named(self, sample_dir, capsys, mode):
@@ -735,6 +795,7 @@ def assert_rows_equal_oracle(curve, k, seeds):
 class TestApproxRowsOracle:
     """The batched k-gon rows equal the scalar chain of `support.approx_one` exactly."""
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=60, deadline=None)
     @given(
         K=st.integers(5, 60),

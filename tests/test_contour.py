@@ -7,13 +7,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import contourstat as cs
+from contourstat import bootstrap, contour, shape_space
 from contourstat.contour import _cum_lengths, _interpolate, _require_polygons, _signed_area
-from support import (
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
+    assert_frozen_and_unaliased,
     center_of_mass,
     interpolate_oracle,
     is_simple,
     max_edge_length,
     polygon_length,
+    public_constructors_agree,
     wobbly_contour,
     wobbly_points,
 )
@@ -177,6 +180,7 @@ class TestSlivers:
             assert all(_signed_area(np.roll(pts, j)) == area for j in range(len(pts)))
             assert _signed_area(pts[::-1]) == -area
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     def test_canonicalize_raises_only_contourstat_errors(self):
         rng = np.random.default_rng(13)
         outcomes = {"canonical": 0, "rejected": 0}
@@ -200,6 +204,7 @@ def start_and_step(points, curve):
 class TestAnyScale:
     """Canonicalization and preshapes are exact under scale: no product over- or underflows."""
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=100, deadline=None)
     @given(exponent=st.integers(-300, 300), phase=st.floats(0.0, 6.3), reverse=st.booleans())
     def test_start_direction_and_preshape_match_the_unit_contour(self, exponent, phase, reverse):
@@ -257,6 +262,13 @@ class TestCanonicalize:
     def test_zero_area_rejected(self):
         with pytest.raises(cs.DegenerateContourError):
             cs.canonicalize(cs.Contour([0 + 0j, 1 + 0j, 2 + 0j]))
+
+    def test_edge_lost_to_the_running_length_rejected(self):
+        # the 1e-20 edge adds nothing to the arclength 1 before it
+        stalled = cs.Contour([0, 1, 1 + 1e-20j, 0.5 + 1j])
+        message = "^contour arclength is not strictly increasing$"
+        with pytest.raises(cs.DegenerateContourError, match=message):
+            cs.canonicalize(stalled)
 
 
 class TestPolygonLength:
@@ -362,6 +374,7 @@ def fraction_rows(rng, rows, width, vertex_fracs):
 class TestInterpolateOracle:
     """``_interpolate`` gives the bits of the frozen row-by-row ``support.interpolate_oracle``."""
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=200, deadline=None)
     @given(
         layout=st.sampled_from(["one-cum", "one-s", "rows", "single"]),
@@ -490,6 +503,59 @@ class TestCorrespondence:
         curves = [cs.canonicalize(wobbly_contour(100))]
         with pytest.raises(ValueError):
             cs.build_correspondence(curves, "sometimes", 10, np.random.default_rng(0))
+
+
+class TestDerivedValuesAreFrozen:
+    """A value the library derives unchecked has read-only arrays of its own."""
+
+    def test_canonicalize(self):
+        pts = wobbly_points(40)[::-1].copy()  # clockwise: canonicalize reverses it
+        source = cs.Contour(pts)
+        curve = cs.canonicalize(source)
+        want = curve.vertices.copy()
+        pts[:] = 0
+        assert_frozen_and_unaliased(curve, pts, source.points)
+        assert np.array_equal(curve.vertices, want)
+        again = cs.canonicalize(curve)  # already canonical: start 0, no reversal
+        assert_frozen_and_unaliased(again, curve.vertices, curve.cum_lengths)
+
+    def test_select_stopping_times(self):
+        assert_frozen_and_unaliased(cs.select_stopping_times(9, np.random.default_rng(3)))
+
+    def test_union_of_times(self):
+        a = cs.select_stopping_times(5, np.random.default_rng(4))
+        b = cs.StoppingTimes([0.0, 0.5])
+        assert_frozen_and_unaliased(cs.union_of_times([a, b]), a.times, b.times)
+        assert_frozen_and_unaliased(cs.union_of_times([a]), a.times)
+
+
+class TestPublicConstructorsAgree:
+    """The fixture that checks the unchecked path fails where a public constructor disagrees."""
+
+    def test_wraps_every_module_binding_the_private_constructor(self, request):
+        unchecked = contour._fill
+        request.getfixturevalue("public_constructors_agree")
+        wrapped = {module._fill for module in (contour, shape_space, bootstrap)}
+        assert len(wrapped) == 1 and unchecked not in wrapped
+
+    def test_fails_on_a_value_the_public_constructor_rejects(self, public_constructors_agree):
+        cw = UNIT_SQUARE[::-1]
+        cum = _cum_lengths(cw)
+        with pytest.raises(AssertionError, match="public ParamCurve rejects"):
+            contour._fill(cs.ParamCurve, vertices=cw, cum_lengths=cum, total_length=float(cum[-1]))
+        with pytest.raises(AssertionError, match="public Preshape rejects"):
+            shape_space._fill(cs.Preshape, coords=np.array([1.0, 0.0, 0.0]))
+
+    def test_fails_on_a_field_the_public_constructor_derives_otherwise(
+        self, public_constructors_agree
+    ):
+        doubled = 2.0 * _cum_lengths(UNIT_SQUARE)
+        with pytest.raises(AssertionError, match="ParamCurve.cum_lengths built unchecked differs"):
+            contour._fill(cs.ParamCurve, vertices=UNIT_SQUARE, cum_lengths=doubled, total_length=4.0)
+
+    def test_passes_what_the_public_constructor_accepts(self, public_constructors_agree):
+        times = contour._fill(cs.StoppingTimes, times=np.array([0.0, 0.5]))
+        assert times.times.tolist() == [0.0, 0.5]
 
 
 class TestStoppingTimesType:

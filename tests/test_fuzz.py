@@ -4,7 +4,8 @@ A four-contour, k = 8 sample (two CSV point lists, a P5 and a P2 mask) and its
 manifest are written once.  Each fuzz input then corrupts one of the five
 files by a byte flip, an inserted byte, a deleted byte or a truncation, and
 runs ``mean``, ``plot`` and ``bootstrap --B 50`` on it through ``cli.main``
-with every warning raised as an error.
+with every warning raised as an error, and with every value the library
+builds unchecked built by its public constructor too.
 """
 
 import warnings
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from contourstat.cli import main
-from support import wobbly_points
+from support import public_constructors_agree, wobbly_points  # noqa: F401 (a fixture)
 
 INPUTS = 300
 
@@ -47,6 +48,7 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
     return data[:pos]  # truncate
 
 
+@pytest.mark.usefixtures("public_constructors_agree")
 def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
     files = pristine_files()
     names = sorted(files)

@@ -14,10 +14,11 @@ import contourstat as cs
 from contourstat import ingestion
 from contourstat.cli import main
 from contourstat.ingestion import _count_components, _read_pgm, _trace_boundary
-from support import (
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
     assert_outer_boundary_walk,
     flood_fill_components,
     moore_trace,
+    public_constructors_agree,
     read_csv_oracle,
     wobbly_points,
 )
@@ -390,6 +391,7 @@ class TestReadP2:
         with pytest.raises(cs.ParseError, match=rf"m\.pgm:5: P2 sample {sample} outside 0\.\.255"):
             cs.read_contour(f)
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=100, deadline=None)
     @given(
         arrays(np.uint8, st.tuples(st.integers(1, 8), st.integers(1, 8))),
@@ -489,6 +491,7 @@ class TestMaskComponents:
         write_pgm_p5(f, mask)
         assert len(cs.read_contour(f)) >= 3
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=200, deadline=None)
     @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
     def test_label_count_matches_flood_fill(self, mask):
@@ -549,6 +552,7 @@ class TestTraceBoundary:
     def test_fixed_masks(self, mask):
         assert_same_trace(mask)
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=300, deadline=None)
     @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16))))
     def test_random_masks(self, mask):
@@ -610,6 +614,15 @@ class TestManifest:
         man.write_bytes(b"seed 3\ncontour a m\xec0.pgm\n")
         with pytest.raises(cs.ManifestError, match="bytes.manifest is not UTF-8 text"):
             cs.parse_manifest(man)
+
+    def test_k_above_the_ceiling_rejected(self, tmp_path):
+        man = tmp_path / "huge.manifest"
+        man.write_text(f"k {ingestion.MAX_K + 1}\ncontour a a.csv\n")
+        message = f"^k must be <= {ingestion.MAX_K}, got {ingestion.MAX_K + 1}$"
+        with pytest.raises(cs.ManifestError, match=message):
+            cs.parse_manifest(man)
+        man.write_text(f"k {ingestion.MAX_K}\ncontour a a.csv\n")
+        assert cs.parse_manifest(man).k == ingestion.MAX_K
 
     def test_empty_manifest_rejected(self, tmp_path):
         man = tmp_path / "empty.manifest"

@@ -4,8 +4,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import contourstat as cs
-from support import (
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
     VWMatrix,
+    assert_frozen_and_unaliased,
     centered_basis,
     dense_extrinsic_mean,
     draw_tangent_gaussian,
@@ -17,6 +18,7 @@ from support import (
     hs_inner_real,
     model_base,
     project_to_manifold,
+    public_constructors_agree,
     random_preshape,
     spectral_gap_coefficients,
     tangent_coordinates,
@@ -63,6 +65,16 @@ class TestPreshape:
         v = np.array([1.0, -1.0, 0.0]) / np.sqrt(2) * 1.01  # centered, wrong norm
         with pytest.raises(ValueError):
             cs.Preshape(v)
+
+    def test_frozen_and_unaliased(self):
+        pts = wobbly_points(20) * 3.0 + 1.0
+        shape = cs.preshape(pts)
+        want = shape.coords.copy()
+        pts[:] = 0
+        assert_frozen_and_unaliased(shape, pts)
+        assert np.array_equal(shape.coords, want)
+        source = wobbly_contour(20)
+        assert_frozen_and_unaliased(cs.preshape(source), source.points)
 
 
 class TestVWEmbed:
@@ -273,6 +285,13 @@ class TestExtrinsicMean:
         mean_rev, _ = cs.extrinsic_mean(sample[::-1])
         assert cs.chord_distance(mean_fwd, mean_rev) < 1e-12
 
+    def test_frozen_and_unaliased(self):
+        sample = [random_preshape(7, np.random.default_rng(s)) for s in range(5)]
+        mean, es = cs.extrinsic_mean(sample)
+        inputs = [s.coords for s in sample]
+        assert_frozen_and_unaliased(mean, *inputs, es.eigenvectors)
+        assert_frozen_and_unaliased(es, *inputs)
+
     def test_similarity_invariance_of_raw_kgons(self):
         rng = np.random.default_rng(25)
         for seed in range(5):
@@ -337,6 +356,7 @@ def assert_matches_explicit(sample, m0):
 class TestThinSvdPath:
     """extrinsic_mean: a thin SVD of the sample, no k x k matrix, for n < k and n >= k."""
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=40, deadline=None)
     @given(
         k=st.integers(3, 20),
@@ -352,6 +372,7 @@ class TestThinSvdPath:
         assume(lam[-1] - lam[-2] > 1e-6 * lam[-1])  # away from the focal boundary
         assert_matches_explicit(sample, random_preshape(k, np.random.default_rng(seed)))
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     @settings(max_examples=60, deadline=None)
     @given(
         k=st.integers(3, 40),
