@@ -118,7 +118,7 @@ def bootstrap_region(
     basis, reduced = _span_coordinates(sample)
     boot = [resample_mean(reduced, _substream(seed, i)) for i in range(B)]
     if basis is not None:
-        boot = [Preshape(basis @ b.coords) for b in boot]
+        boot = [_fill(Preshape, coords=basis @ b.coords) for b in boot]
     dist = np.array([chord_distance(b, mean) for b in boot])
     return BootstrapRegion(sample_mean=mean, boot_means=tuple(boot), distances=dist, alpha=alpha)
 
@@ -145,7 +145,7 @@ def _span_coordinates(
     v = np.full(d, 1.0 / math.sqrt(d))
     v[0] -= 1.0
     basis = q @ (np.eye(d) - 2.0 * np.outer(v, v) / (v @ v))
-    return basis, [Preshape(c) for c in gam @ basis.conj()]
+    return basis, [_fill(Preshape, coords=c) for c in gam @ basis.conj()]
 
 
 def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:

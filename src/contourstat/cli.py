@@ -37,7 +37,7 @@ from .ingestion import (
     read_curves,
     write_contour,
 )
-from .shape_space import approximation_errors, extrinsic_mean, preshape
+from .shape_space import approximation_errors, extrinsic_mean, preshape, register_vertex_order
 from .svg import PathStyle, svg_render
 
 # Not called here, but kept importable from this module: the benchmark's
@@ -198,21 +198,24 @@ def cmd_mean(args: argparse.Namespace, manifest: SampleManifest) -> None:
     print(f"wrote {out / 'mean_shape.csv'} and {out / 'mean_shape.svg'}")
 
 
-def _hypothesis_shape(path: str, times: StoppingTimes):
+def _hypothesis_shape(path: str, shapes, times: StoppingTimes):
     """Preshape the hypothesized contour in the sample's correspondence.
 
-    A contour with exactly k vertices is taken to be in correspondence
-    already (vertex j at stopping time j), which is the case for any
-    mean_shape.csv written by `contourstat mean`; any other contour is
-    canonicalized and evaluated at the sample's stopping times.
+    A contour with exactly k vertices, such as a mean_shape.csv written by
+    `contourstat mean`, keeps its vertices: of its k cyclic shifts and the k
+    shifts of its reversal, the one nearest the sample's extrinsic mean is
+    taken (register_vertex_order), so its start vertex and direction do not
+    matter.  Any other contour is canonicalized and evaluated at the
+    sample's stopping times.
     """
     try:
         m0_contour = read_contour(path)
-        if len(m0_contour) == times.k:
-            return preshape(m0_contour)
-        return preshape(evaluate(canonicalize(m0_contour), times))
+        if len(m0_contour) != times.k:
+            return preshape(evaluate(canonicalize(m0_contour), times))
+        m0 = preshape(m0_contour)
     except ContourStatError as err:
         raise ContourStatError(f"--m0 {path}: {err}") from err
+    return register_vertex_order(m0, extrinsic_mean(shapes)[0])
 
 
 def _load_two_or_more(command: str, manifest: SampleManifest):
@@ -227,7 +230,7 @@ def _load_two_or_more(command: str, manifest: SampleManifest):
 
 def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
     shapes, times = _load_two_or_more(args.command, manifest)
-    m0 = _hypothesis_shape(args.m0, times)
+    m0 = _hypothesis_shape(args.m0, shapes, times)
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
     if args.delta is not None:

@@ -82,6 +82,25 @@ def write_contour(contour: Contour, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
 
 
+# characters of input whose tokens exist as Python objects at once
+_CHUNK = 1 << 20
+_LINE_END = re.compile("\n")
+
+
+def _chunks(data, start: int, cut: re.Pattern):
+    """Spans (pos, end) that tile ``data[start:]``, each about ``_CHUNK`` long.
+
+    A span ends at the first match of ``cut`` at least ``_CHUNK`` past its
+    start, so a separator that ``cut`` matches never falls inside a token.
+    """
+    pos = start
+    while pos < len(data):
+        match = cut.search(data, pos + _CHUNK)
+        end = len(data) if match is None else match.start()
+        yield pos, end
+        pos = end
+
+
 def _read_csv(path: Path) -> Contour:
     try:
         text = path.read_text(encoding="ascii")
@@ -89,13 +108,18 @@ def _read_csv(path: Path) -> Contour:
         raise ParseError(path, None, f"cannot read file: {err}") from err
     except UnicodeDecodeError as err:
         raise ParseError(path, None, f"not an ASCII contour file: {err}") from err
-    rows = list(filter(None, map(str.strip, text.splitlines())))
-    try:
-        xy = np.array([*map(float, ",".join(rows).split(","))] if rows else [])
-    except ValueError:
-        xy = None
-    if xy is not None and set(map(str.count, rows, repeat(","))) <= {1} and np.isfinite(xy).all():
-        return _build_contour(xy.view(np.complex128), path)
+    chunks = [np.empty(0)]
+    for pos, end in _chunks(text, 0, _LINE_END):
+        rows = list(filter(None, map(str.strip, text[pos:end].splitlines())))
+        try:
+            xy = np.array([*map(float, ",".join(rows).split(","))] if rows else [])
+        except ValueError:
+            break
+        if not (set(map(str.count, rows, repeat(","))) <= {1} and np.isfinite(xy).all()):
+            break
+        chunks.append(xy)
+    else:
+        return _build_contour(np.concatenate(chunks).view(np.complex128), path)
     # error path only: name the first bad line
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -229,16 +253,15 @@ def _read_pgm(path: Path) -> np.ndarray:
 _P2_COMMENT = re.compile(rb"(?<!\S)#[^\n]*")
 _P2_TOKEN = re.compile(rb"\S+")
 _P2_SPACE = re.compile(rb"\s")
-_P2_CHUNK = 1 << 20  # bytes of raster whose tokens exist as Python objects at once
 
 
 def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> np.ndarray:
     """The first ``need`` samples of the P2 raster at ``data[start:]``, each in 0..maxval.
 
-    The raster is cut at the first whitespace past every ``_P2_CHUNK`` bytes,
-    and the chunks are converted one at a time, so at most one chunk's tokens
-    exist as Python objects at once.  The samples are counted before any is
-    judged: a truncated raster is reported as such, whatever it holds.
+    The raster is cut into :func:`_chunks` at whitespace, and the chunks are
+    converted one at a time, so at most one chunk's tokens exist as Python
+    objects at once.  The samples are counted before any is judged: a
+    truncated raster is reported as such, whatever it holds.
     """
     if data.find(b"#", start) >= 0:
         data = data[:start] + _P2_COMMENT.sub(b"", data[start:])
@@ -248,10 +271,9 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
     values = np.empty(room, dtype=np.uint8 if maxval < 256 else np.uint16)
     have = 0
     bad = None  # (chunk start, chunk end) of the first chunk with a bad sample
-    pos = start
-    while have < need and pos < len(data):
-        space = _P2_SPACE.search(data, pos + _P2_CHUNK)
-        end = len(data) if space is None else space.start()
+    for pos, end in _chunks(data, start, _P2_SPACE):
+        if have == need:
+            break
         tokens = data[pos:end].split()[: need - have]
         if bad is None and tokens:
             try:
@@ -263,7 +285,6 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
             except (ValueError, OverflowError):
                 bad = (pos, end)
         have += len(tokens)
-        pos = end
     if have < need:
         raise ParseError(path, None, f"P2 raster truncated: have {have} samples, need {need}")
     if bad is None:

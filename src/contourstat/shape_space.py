@@ -49,6 +49,7 @@ __all__ = [
     "EigenSystem",
     "preshape",
     "chord_distance",
+    "register_vertex_order",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",
@@ -177,6 +178,28 @@ def _chord(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.sqrt(2.0 * res_ab * res_ba))
 
 
+def register_vertex_order(shape: Preshape, reference: Preshape) -> Preshape:
+    """The relabelling of ``shape``'s vertices nearest ``reference`` in chord distance.
+
+    The candidates are the k cyclic shifts of ``shape``, then the k cyclic
+    shifts of its reversal, so neither the start vertex nor the direction of
+    travel matters; shift 0 of ``shape`` is ``shape`` itself.  The first
+    candidate whose |<reference, candidate>| lies within 1e-13 of the largest
+    wins, so ties go to the first and FFT roundoff cannot break them.  All 2k
+    inner products come from one circular cross-correlation by FFT,
+    O(k log k), as in the start-point search of Srivastava, Klassen, Joshi &
+    Jermyn, *Shape analysis of elastic curves in Euclidean spaces*, IEEE TPAMI
+    2011.  Relabelling moves neither the centroid nor the norm.
+    """
+    if shape.dimension != reference.dimension:
+        raise ValueError(f"dimension mismatch: {shape.dimension} vs {reference.dimension}")
+    labels = np.stack((shape.coords, shape.coords[::-1]))
+    # entry [r, j] is |<reference, np.roll(labels[r], j)>|
+    ips = np.abs(np.fft.ifft(np.fft.fft(reference.coords) * np.fft.fft(labels).conj()))
+    reverse, shift = divmod(int(np.argmax(ips >= ips.max() - 1e-13)), shape.dimension)
+    return _fill(Preshape, coords=np.roll(labels[reverse], shift))
+
+
 def _stack(sample: Sequence[Preshape]) -> np.ndarray:
     try:
         gam = np.array([s.coords for s in sample])
@@ -245,7 +268,7 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     if n == 0:
         raise ValueError("empty sample")
     u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
-    es = EigenSystem(s**2, _phase(u))
+    es = _fill(EigenSystem, eigenvalues=s**2, eigenvectors=_phase(u))
     _require_gap(es)
     # the top eigenvector is centered and unit-norm only to eigensolver
     # roundoff, which grows with n and k: re-center and renormalize it as

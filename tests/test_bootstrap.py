@@ -28,6 +28,7 @@ def model_sample(n, seed, k=6, tau=0.15):
     return draw_tangent_gaussian(base, frame, tau, n, np.random.default_rng(seed))
 
 
+@pytest.mark.usefixtures("public_constructors_agree")
 class TestResampleMean:
     def test_single_shape_sample(self):
         g = random_preshape(5, np.random.default_rng(0))
@@ -113,6 +114,7 @@ class TestBootstrapRegion:
         region = cs.BootstrapRegion(g, (g,) * 60, dist, alpha=1.0 - 1e-12)
         assert region.radius == dist.min()
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     def test_radius_is_380th_of_400_distances(self):
         sample = model_sample(15, seed=7)
         region = cs.bootstrap_region(sample, B=400, alpha=0.05, seed=1)
@@ -234,6 +236,7 @@ class TestSpanPath:
         region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=23)
         assert_matches_dense(region, sample, seed=23)
 
+    @pytest.mark.usefixtures("public_constructors_agree")
     def test_focal_retries_draw_the_same_indices(self, monkeypatch):
         # a resample drawing the orthogonal shape exactly twice is focal
         base = random_preshape(8, np.random.default_rng(24))

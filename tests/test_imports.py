@@ -140,6 +140,7 @@ PUBLIC_NAMES = {
     "EigenSystem",
     "preshape",
     "chord_distance",
+    "register_vertex_order",
     "mean_matrix",
     "eigensystem",
     "extrinsic_mean",

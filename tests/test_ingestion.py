@@ -2,6 +2,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -190,6 +191,22 @@ class TestReadCsv:
         with pytest.raises(cs.ParseError, match=r"c\.csv: contour needs >= 3 points, got 0$"):
             cs.read_contour(f)
 
+    def test_large_csv_peak_memory_under_four_times_its_size(self, tmp_path):
+        # 200,000 lines: converting them all at once peaked at 9 times the file
+        # size, the line loop before that at 4.4 times
+        theta = np.linspace(0.0, 2.0 * np.pi, 200_000, endpoint=False)
+        pts = 3.7 * (1 + 0.25 * np.cos(3 * theta)) * np.exp(1j * theta) + (1.5 - 2.25j)
+        f = tmp_path / "big.csv"
+        f.write_text("".join(f"{z.real:.16g},{z.imag:.16g}\n" for z in pts), encoding="ascii")
+        tracemalloc.start()
+        try:
+            contour = cs.read_contour(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(contour) == len(pts)
+        assert peak < 4 * f.stat().st_size, (peak, f.stat().st_size)
+
 
 def csv_case(rng):
     """A CSV contour's bytes: blank lines, spaces, CRLF, closing and close points, maybe a bad line."""
@@ -219,6 +236,14 @@ def csv_case(rng):
     return (rng.choice(["\n", "\r\n"]).join(lines) + rng.choice(["", "\n"])).encode()
 
 
+def read_outcome(read, path):
+    """The points a reader returns, as bytes, or the text and line of its ParseError."""
+    try:
+        return read(path).points.tobytes()
+    except cs.ParseError as err:
+        return str(err), err.line
+
+
 class TestReadCsvOracle:
     """The one-pass CSV reader agrees with the frozen line loop of ``support.read_csv_oracle``."""
 
@@ -240,6 +265,14 @@ class TestReadCsvOracle:
                 rows = [line for line in f.read_text().splitlines() if line.strip()]
                 outcomes.add("merged" if len(want) < len(rows) else "points")
         assert outcomes == {"points", "merged", "line error", "file error"}
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    def test_chunked_conversion_keeps_points_and_errors(self, tmp_path, monkeypatch, chunk):
+        monkeypatch.setattr(ingestion, "_CHUNK", chunk)
+        f = tmp_path / "c.csv"
+        for seed in range(200):
+            f.write_bytes(csv_case(np.random.default_rng(seed)))
+            assert read_outcome(cs.read_contour, f) == read_outcome(read_csv_oracle, f), seed
 
 
 class TestWriteContour:
@@ -408,7 +441,7 @@ class TestReadP2:
 
     @pytest.mark.parametrize("chunk", [1, 5, 64])
     def test_chunked_conversion_keeps_samples_and_errors(self, tmp_path, monkeypatch, chunk):
-        monkeypatch.setattr(ingestion, "_P2_CHUNK", chunk)
+        monkeypatch.setattr(ingestion, "_CHUNK", chunk)
         mask = blob_mask(6).astype(np.uint8) * 255
         write_pgm_p2(tmp_path / "c.pgm", mask)
         write_pgm_p5(tmp_path / "twin.pgm", mask)

@@ -150,6 +150,46 @@ class TestChordDistance:
             cs.chord_distance(random_preshape(5, rng), random_preshape(6, rng))
 
 
+def relabellings(coords):
+    """The 2k candidates of register_vertex_order in its order: shifts, then reversed shifts."""
+    return [np.roll(c, j) for c in (coords, coords[::-1]) for j in range(len(coords))]
+
+
+@pytest.mark.usefixtures("public_constructors_agree")
+class TestRegisterVertexOrder:
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(3, 40), seed=st.integers(0, 2**32 - 1))
+    def test_largest_inner_product_of_the_2k_relabellings(self, k, seed):
+        rng = np.random.default_rng(seed)
+        shape, reference = random_preshape(k, rng), random_preshape(k, rng)
+        got = cs.register_vertex_order(shape, reference)
+        best = max(abs(np.vdot(reference.coords, c)) for c in relabellings(shape.coords))
+        assert any(np.array_equal(got.coords, c) for c in relabellings(shape.coords))
+        assert abs(np.vdot(reference.coords, got.coords)) >= best - 2e-13
+
+    @pytest.mark.parametrize("shift", [0, 1, 5, 10])
+    @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+    def test_relabelled_copy_snaps_back(self, shift, reverse):
+        rng = np.random.default_rng(11)
+        reference = random_preshape(11, rng)
+        moved = np.roll(reference.coords, shift)
+        got = cs.register_vertex_order(cs.Preshape(moved[::-1] if reverse else moved), reference)
+        assert np.array_equal(got.coords, reference.coords)
+
+    def test_ties_take_the_first_candidate(self):
+        # every relabelling of a third-harmonic octagon is orthogonal to the
+        # regular octagon, up to roundoff: shift 0 wins
+        k = 8
+        square = cs.preshape(np.exp(2j * np.pi * np.arange(k) / k))
+        shape = cs.preshape(np.exp(2j * np.pi * 3 * np.arange(k) / k))
+        assert np.array_equal(cs.register_vertex_order(shape, square).coords, shape.coords)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(12)
+        with pytest.raises(ValueError, match="dimension mismatch: 5 vs 6"):
+            cs.register_vertex_order(random_preshape(5, rng), random_preshape(6, rng))
+
+
 class TestFrechetValue:
     def test_self_sample_zero(self):
         g = random_preshape(6, np.random.default_rng(11))

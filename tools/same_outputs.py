@@ -8,7 +8,10 @@ For every workload in ``bench/workloads.py`` it generates the inputs of
 ``--seed`` once, then runs each step of the benchmark's command sequence
 (``bench/run.py``: approx, mean, test ``--delta``, test ``--solve-delta``,
 bootstrap, bootstrap with ``SHAPE_THREADS``, plot) as ``python -m
-contourstat`` against the ``src/`` of this checkout and of ``--base``.  It
+contourstat`` against the ``src/`` of this checkout and of ``--base``.  Both
+workloads share their stopping times, so one more pass runs mean, both
+tests, bootstrap (B = 50) and plot on the shared-k300 files under a
+``union-of-times`` manifest at ``k 40``, a dimension of about 1,200.  It
 compares the exit codes, stdout and stderr (with the output directory
 replaced by ``<out>``) and the bytes of every file written, prints each
 difference, and exits 1 if there is any.  Files under ``bench/`` are only
@@ -22,6 +25,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -48,6 +52,21 @@ def outputs(src: Path, step: str, argv: list[str], out: Path) -> dict:
     }
 
 
+# every step whose result depends on the correspondence: not approx, which
+# takes its own k-gons, nor bootstrap-par, which times bootstrap again
+UNION_STEPS = ("mean", "test", "solve-delta", "bootstrap", "plot")
+
+
+def union_of_times(inputs, seed: int, directory: Path):
+    """``inputs`` with a union-of-times manifest at k 40 over the same contour files."""
+    lines = [f"seed {seed}", "k 40", "correspondence union-of-times"]
+    lines += [f"contour c{i:02d} {p.resolve()}" for i, p in enumerate(inputs.contours)]
+    directory.mkdir(parents=True)
+    manifest = directory / "manifest.txt"
+    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return replace(inputs, manifest=manifest)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the other checkout")
@@ -64,13 +83,20 @@ def main(argv=None) -> int:
             return 2
     differences = compared = 0
     with tempfile.TemporaryDirectory() as tmp:
+        inputs = {}
         for name, w in WORKLOADS.items():
-            inputs = generate(w, args.seed, Path(tmp) / name / "inputs")
-            for step, _ in run.STEPS:
+            inputs[name] = generate(w, args.seed, Path(tmp) / name / "inputs")
+        all_steps = [step for step, _ in run.STEPS]
+        passes = [(name, w, inputs[name], all_steps) for name, w in WORKLOADS.items()]
+        shared = "shared-k300"
+        union = union_of_times(inputs[shared], args.seed, Path(tmp) / "union-of-times")
+        passes.append(("union-of-times", replace(WORKLOADS[shared], B=50), union, UNION_STEPS))
+        for name, w, step_inputs, steps in passes:
+            for step in steps:
                 got = {}
                 for side, src in sides.items():
                     out = Path(tmp) / name / side / step
-                    got[side] = outputs(src, step, run.step_argv(step, w, inputs, out), out)
+                    got[side] = outputs(src, step, run.step_argv(step, w, step_inputs, out), out)
                 compared += 1
                 for key in sorted(got["base"].keys() | got["head"].keys()):
                     if got["base"].get(key) != got["head"].get(key):
