@@ -26,7 +26,7 @@ import numpy as np
 
 from .contour import _fill, _substream
 from .errors import FocalDistributionError
-from .shape_space import Preshape, chord_distance, extrinsic_mean
+from .shape_space import Preshape, _require_same_dimension, _stack, chord_distance, extrinsic_mean
 
 __all__ = ["BootstrapRegion", "resample_mean", "bootstrap_region", "align_rotation"]
 
@@ -136,7 +136,7 @@ def _span_coordinates(
     n, k = len(sample), sample[0].dimension
     if n + 1 >= k:
         return None, sample
-    gam = np.stack([s.coords for s in sample])
+    gam = _stack(sample)
     ones = np.full((k, 1), 1.0 / math.sqrt(k))
     q, _ = np.linalg.qr(np.hstack((ones, gam.T)))
     q[:, 0] = ones[:, 0]  # QR leaves the sign of the first column to chance
@@ -157,6 +157,7 @@ def align_rotation(shape: Preshape, reference: Preshape) -> Preshape:
     inner product is zero every rotation is equally good and the shape is
     returned unchanged.
     """
+    _require_same_dimension(shape, reference)
     ip = np.vdot(shape.coords, reference.coords)
     if ip == 0:
         return shape

@@ -56,9 +56,11 @@ MEAN_STYLE = PathStyle(stroke="#d62728", width=1.6)
 BOOT_STYLE = PathStyle(stroke="#1f77b4", width=0.8, opacity=0.35)
 PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 
-# the most k-gon vertices approx may hold at once, --repeats x contours x the
-# largest k: each costs about 50 bytes at the peak
-MAX_APPROX_VERTICES = 10_000_000
+# the most points a command may hold at once: approx's k-gon vertices
+# (--repeats x contours x the largest k), about 50 bytes each at the peak, and
+# bootstrap's resampled mean coordinates (--B x the sample's dimension), 25 to
+# 100 bytes each, the most at the smallest dimensions
+MAX_HELD_POINTS = 10_000_000
 
 
 def main(argv=None) -> int:
@@ -162,10 +164,10 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
 def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
     """Approximation quality over a grid of k: length error and shape distance."""
     n, k = len(manifest.entries), max(args.k_grid)
-    if args.repeats * n * k > MAX_APPROX_VERTICES:
+    if args.repeats * n * k > MAX_HELD_POINTS:
         raise ContourStatError(
             f"--repeats {args.repeats} x {n} contours x k {k} = {args.repeats * n * k} k-gon "
-            f"vertices, more than the limit of {MAX_APPROX_VERTICES}"
+            f"vertices, more than the limit of {MAX_HELD_POINTS}"
         )
     curves = read_curves(manifest)
     len_errs, shape_sqs = approximation_errors(curves, args.k_grid, args.repeats, manifest.seed)
@@ -252,6 +254,12 @@ def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
 
 def cmd_bootstrap(args: argparse.Namespace, manifest: SampleManifest) -> None:
     shapes, times = _load_two_or_more(args.command, manifest)
+    dim = shapes[0].dimension  # the manifest k, or the union size for union-of-times
+    if args.B * dim > MAX_HELD_POINTS:
+        raise ContourStatError(
+            f"--B {args.B} x dimension {dim} = {args.B * dim} resampled mean coordinates, "
+            f"more than the limit of {MAX_HELD_POINTS}"
+        )
     region = bootstrap_region(shapes, B=args.B, alpha=args.alpha, seed=manifest.seed)
     out = Path(args.out)
     csv_path = out / "bootstrap_summary.csv"

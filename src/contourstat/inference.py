@@ -31,6 +31,7 @@ from .errors import DegenerateVarianceError
 from .shape_space import (
     EigenSystem,
     Preshape,
+    _require_same_dimension,
     chord_distance,
     extrinsic_covariance,
     extrinsic_mean,
@@ -50,8 +51,8 @@ __all__ = [
 class TestResult:
     """Outcome of the neighborhood test.
 
-    ``critical_radius`` is the largest neighborhood radius at which the null
-    would still be rejected at the test's level.
+    ``critical_radius`` bounds the neighborhood radii at which the null is
+    rejected at the test's level: ``reject`` is ``radius < critical_radius``.
     """
 
     squared_distance: float  # phi: squared chord distance from mean to m0
@@ -78,8 +79,7 @@ def tangent_offset(eigen: EigenSystem, m0: Preshape) -> np.ndarray:
     result is covariant under the phase of m0, but every delivered test
     quantity is phase-invariant.
     """
-    if m0.dimension != eigen.dimension:
-        raise ValueError(f"dimension mismatch: {m0.dimension} vs {eigen.dimension}")
+    _require_same_dimension(m0, eigen)
     p = eigen.eigenvectors.conj().T @ m0.coords  # p[a] = <e_{a+1}, m0>
     return np.sqrt(2.0) * p[1:] * np.conj(p[0])
 
@@ -137,7 +137,7 @@ def neighborhood_test(
         std_error=s,
         statistic=t,
         p_value=ndtr(-t),
-        reject=t > ndtri(1.0 - alpha),
+        reject=radius < crit,
         critical_radius=crit,
     )
 

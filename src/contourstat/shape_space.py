@@ -151,6 +151,11 @@ def _preshape_rows(points: np.ndarray) -> np.ndarray:
     return centered / nrm[:, None]
 
 
+def _require_same_dimension(a: Preshape | EigenSystem, b: Preshape | EigenSystem) -> None:
+    if a.dimension != b.dimension:
+        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+
+
 def chord_distance(a: Preshape, b: Preshape) -> float:
     """Hilbert-Schmidt distance between the embedded shapes.
 
@@ -162,8 +167,7 @@ def chord_distance(a: Preshape, b: Preshape) -> float:
     distances down to machine precision (symmetrized so the metric stays
     exactly symmetric).
     """
-    if a.dimension != b.dimension:
-        raise ValueError(f"dimension mismatch: {a.dimension} vs {b.dimension}")
+    _require_same_dimension(a, b)
     return _chord(a.coords, b.coords)
 
 
@@ -191,8 +195,7 @@ def register_vertex_order(shape: Preshape, reference: Preshape) -> Preshape:
     Jermyn, *Shape analysis of elastic curves in Euclidean spaces*, IEEE TPAMI
     2011.  Relabelling moves neither the centroid nor the norm.
     """
-    if shape.dimension != reference.dimension:
-        raise ValueError(f"dimension mismatch: {shape.dimension} vs {reference.dimension}")
+    _require_same_dimension(shape, reference)
     labels = np.stack((shape.coords, shape.coords[::-1]))
     # entry [r, j] is |<reference, np.roll(labels[r], j)>|
     ips = np.abs(np.fft.ifft(np.fft.fft(reference.coords) * np.fft.fft(labels).conj()))
@@ -206,14 +209,13 @@ def _stack(sample: Sequence[Preshape]) -> np.ndarray:
     except ValueError:  # rows of different lengths
         gam = np.empty(0)
     if gam.ndim != 2:  # mixed dimensions, or an empty sample
-        raise ValueError(f"sample mixes dimensions: {sorted({s.dimension for s in sample})}")
+        dims = sorted({s.dimension for s in sample})
+        raise ValueError(f"sample mixes dimensions: {dims}" if dims else "empty sample")
     return gam
 
 
 def mean_matrix(sample: Sequence[Preshape]) -> np.ndarray:
     """Average of the embedded matrices (1/n) sum gamma_i gamma_i^H, symmetrized."""
-    if len(sample) == 0:
-        raise ValueError("empty sample")
     gam = _stack(sample)
     m = gam.T @ gam.conj() / len(sample)
     return (m + m.conj().T) / 2.0
@@ -264,10 +266,7 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     when the relative top spectral gap is below ``DEFAULT_GAP_TOL``, in
     which case no unique minimizer of the Frechet function exists.
     """
-    n = len(sample)
-    if n == 0:
-        raise ValueError("empty sample")
-    u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(n), full_matrices=False)
+    u, s, _ = np.linalg.svd(_stack(sample).T / math.sqrt(len(sample)), full_matrices=False)
     es = _fill(EigenSystem, eigenvalues=s**2, eigenvectors=_phase(u))
     _require_gap(es)
     # the top eigenvector is centered and unit-norm only to eigensolver

@@ -300,3 +300,8 @@ class TestAlignRotation:
         rng = np.random.default_rng(20)
         g, h = random_preshape(6, rng), random_preshape(6, rng)
         assert_frozen_and_unaliased(cs.align_rotation(h, g), h.coords, g.coords)
+
+    def test_dimension_mismatch(self):
+        rng = np.random.default_rng(21)
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 7 vs 6$"):
+            cs.align_rotation(random_preshape(7, rng), random_preshape(6, rng))

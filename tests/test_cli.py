@@ -290,6 +290,33 @@ class TestBadOptions:
         assert main([*argv, "--k-grid", "5,250000", "--repeats", "5"]) == 2
         assert "entry 'id0'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("correspondence", ["shared-times", "union-of-times"])
+    def test_bootstrap_ceiling_checked_before_the_first_resample(
+        self, sample_dir, capsys, monkeypatch, correspondence
+    ):
+        # resample_mean fails if called, so no B here is ever allocated for:
+        # one past the ceiling exits 2, and the ceiling itself reaches it
+        class Resampled(Exception):
+            pass
+
+        def resample_mean(sample, rng):
+            raise Resampled
+
+        tmp_path, man = sample_dir
+        man.write_text(man.read_text().replace("shared-times", correspondence))
+        dim = cs.load_sample(cs.parse_manifest(man))[1].k
+        assert (dim == 40) == (correspondence == "shared-times")
+        monkeypatch.setattr(cs.bootstrap, "resample_mean", resample_mean)
+        argv = ["bootstrap", "--manifest", str(man), "--out", str(tmp_path / "o")]
+        B = cli.MAX_HELD_POINTS // dim + 1
+        assert main([*argv, "--B", str(B)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: --B {B} x dimension {dim} = {B * dim} resampled mean coordinates, "
+            "more than the limit of 10000000\n"
+        )
+        with pytest.raises(Resampled):
+            main([*argv, "--B", str(cli.MAX_HELD_POINTS // dim)])
+
     def test_options_checked_before_the_manifest_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         code = main(["bootstrap", "--manifest", missing, "--out", str(tmp_path), "--B", "10"])

@@ -5,7 +5,8 @@ manifest are written once.  Each fuzz input then corrupts one of the five
 files by a byte flip, an inserted byte, a deleted byte or a truncation, and
 runs ``mean``, ``plot`` and ``bootstrap --B 50`` on it through ``cli.main``
 with every warning raised as an error, and with every value the library
-builds unchecked built by its public constructor too.
+builds unchecked built by its public constructor too.  Exit 0 leaves stderr
+empty, and exit 2 leaves exactly one line on it, starting ``error: ``.
 """
 
 import warnings
@@ -70,7 +71,12 @@ def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
                 except Exception as err:
                     pytest.fail(f"{where}: {err!r}")
             assert status in statuses, where
+            stderr = capsys.readouterr().err
+            if status == 0:
+                assert stderr == "", f"{where}: {stderr!r}"
+            else:
+                one_line = stderr.count("\n") == 1 and stderr.endswith("\n")
+                assert stderr.startswith("error: ") and one_line, f"{where}: {stderr!r}"
             statuses[status] += 1
-    capsys.readouterr()
     # the mutations both break inputs and leave some of them usable
     assert min(statuses.values()) > 0

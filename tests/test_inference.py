@@ -78,7 +78,7 @@ class TestTangentOffset:
 
     def test_dimension_mismatch(self):
         _, es = cs.extrinsic_mean(noisy_sample(5, 8, seed=8))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 6 vs 5$"):
             cs.tangent_offset(es, random_preshape(6, np.random.default_rng(9)))
 
 
@@ -127,6 +127,13 @@ class TestNeighborhoodTest:
         assert res.p_value == pytest.approx(0.5, abs=1e-9)
         assert not res.reject
 
+    def test_quantile_evaluated_once(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cs.inference, "ndtri", lambda p: calls.append(p) or ndtri(p))
+        sample = noisy_sample(6, 15, seed=11)
+        cs.neighborhood_test(sample, random_preshape(6, np.random.default_rng(12)), 0.2, 0.1)
+        assert calls == [0.9]
+
     def test_radius_beyond_diameter_never_rejects(self):
         # squared chord distance is at most 2, so radius^2 > 2 forces T < 0
         sample = noisy_sample(5, 10, seed=13)
@@ -161,6 +168,11 @@ class TestNeighborhoodTest:
             assert res.reject == (factor < 1.0)
             assert res.reject == (res.statistic > xi)
             assert res.critical_radius == pytest.approx(crit, abs=1e-9)
+        # the decision is radius < critical_radius, exactly, at the boundary too
+        for radius, reject in ((crit, False), (np.nextafter(crit, 0.0), True)):
+            res = cs.neighborhood_test(sample, m0, radius=radius, alpha=0.05)
+            assert res.reject == reject
+            assert res.critical_radius == crit
 
     def test_phase_invariance_of_result(self):
         sample = noisy_sample(6, 14, seed=21)

@@ -146,7 +146,7 @@ class TestChordDistance:
 
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(10)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dimension mismatch: 5 vs 6$"):
             cs.chord_distance(random_preshape(5, rng), random_preshape(6, rng))
 
 
@@ -354,6 +354,17 @@ class TestExtrinsicMean:
             lambda: cs.extrinsic_covariance(mixed, es),
         ):
             with pytest.raises(ValueError, match=r"^sample mixes dimensions: \[5, 6\]$"):
+                call()
+
+    def test_empty_sample_rejected(self):
+        rng = np.random.default_rng(27)
+        _, es = cs.extrinsic_mean([random_preshape(5, rng) for _ in range(3)])
+        for call in (
+            lambda: cs.extrinsic_mean([]),
+            lambda: cs.mean_matrix([]),
+            lambda: cs.extrinsic_covariance([], es),
+        ):
+            with pytest.raises(ValueError, match=r"^empty sample$"):
                 call()
 
 
