@@ -56,10 +56,10 @@ MEAN_STYLE = PathStyle(stroke="#d62728", width=1.6)
 BOOT_STYLE = PathStyle(stroke="#1f77b4", width=0.8, opacity=0.35)
 PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 
-# the most points a command may hold at once: approx's k-gon vertices
-# (--repeats x contours x the largest k), about 50 bytes each at the peak, and
-# bootstrap's resampled mean coordinates (--B x the sample's dimension), 25 to
-# 100 bytes each, the most at the smallest dimensions
+# the most points a command may hold at once, each measured at its peak: approx's
+# k-gon vertices (--repeats x contours x the largest k), about 50 bytes each;
+# the sample that load_sample builds (contours x dimension), about 25 bytes each;
+# and bootstrap's resampled mean coordinates (--B x dimension), 23 to 99 bytes each
 MAX_HELD_POINTS = 10_000_000
 
 
@@ -69,6 +69,7 @@ def main(argv=None) -> int:
         _check_options(args)
         given = {key: val for key, val in vars(args).items() if key in ("seed", "k") and val is not None}
         manifest = replace(parse_manifest(args.manifest), **given)
+        _check_holdings(args, manifest)
         Path(args.out).mkdir(parents=True, exist_ok=True)
         handler = {
             "approx": cmd_approx,
@@ -161,14 +162,29 @@ def _parse_k_grid(text: str) -> tuple[int, ...]:
     return k_grid
 
 
+def _check_holdings(args: argparse.Namespace, manifest: SampleManifest) -> None:
+    """Reject a manifest the command cannot hold, before any contour is read."""
+    n = len(manifest.entries)
+    if args.command == "approx":
+        k, r = max(args.k_grid), args.repeats
+        _check_held(f"--repeats {r} x {n} contours x k {k}", r * n * k, "k-gon vertices")
+        return
+    if args.command in ("test", "bootstrap") and n < 2:
+        raise ContourStatError(f"{args.command} needs at least 2 contours, the manifest lists {n}")
+    # load_sample's dimension; a union is smaller only where two uniform draws coincide
+    dim = manifest.k if manifest.strategy == "shared-times" else n * (manifest.k - 1) + 1
+    _check_held(f"{n} contours x dimension {dim}", n * dim, "sample coordinates")
+    if args.command == "bootstrap":
+        _check_held(f"--B {args.B} x dimension {dim}", args.B * dim, "resampled mean coordinates")
+
+
+def _check_held(factors: str, points: int, what: str) -> None:
+    if points > MAX_HELD_POINTS:
+        raise ContourStatError(f"{factors} = {points} {what}, more than the limit of {MAX_HELD_POINTS}")
+
+
 def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
     """Approximation quality over a grid of k: length error and shape distance."""
-    n, k = len(manifest.entries), max(args.k_grid)
-    if args.repeats * n * k > MAX_HELD_POINTS:
-        raise ContourStatError(
-            f"--repeats {args.repeats} x {n} contours x k {k} = {args.repeats * n * k} k-gon "
-            f"vertices, more than the limit of {MAX_HELD_POINTS}"
-        )
     curves = read_curves(manifest)
     len_errs, shape_sqs = approximation_errors(curves, args.k_grid, args.repeats, manifest.seed)
     rows = [
@@ -220,18 +236,8 @@ def _hypothesis_shape(path: str, shapes, times: StoppingTimes):
     return register_vertex_order(m0, extrinsic_mean(shapes)[0])
 
 
-def _load_two_or_more(command: str, manifest: SampleManifest):
-    """The sample of a command that needs at least two contours (test, bootstrap)."""
-    shapes, times = load_sample(manifest)
-    if len(shapes) < 2:
-        raise ContourStatError(
-            f"{command} needs at least 2 contours, the manifest lists {len(shapes)}"
-        )
-    return shapes, times
-
-
 def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
-    shapes, times = _load_two_or_more(args.command, manifest)
+    shapes, times = load_sample(manifest)
     m0 = _hypothesis_shape(args.m0, shapes, times)
     print(f"n               {len(shapes)}")
     print(f"k               {times.k}")
@@ -253,13 +259,7 @@ def cmd_test(args: argparse.Namespace, manifest: SampleManifest) -> None:
 
 
 def cmd_bootstrap(args: argparse.Namespace, manifest: SampleManifest) -> None:
-    shapes, times = _load_two_or_more(args.command, manifest)
-    dim = shapes[0].dimension  # the manifest k, or the union size for union-of-times
-    if args.B * dim > MAX_HELD_POINTS:
-        raise ContourStatError(
-            f"--B {args.B} x dimension {dim} = {args.B * dim} resampled mean coordinates, "
-            f"more than the limit of {MAX_HELD_POINTS}"
-        )
+    shapes, times = load_sample(manifest)
     region = bootstrap_region(shapes, B=args.B, alpha=args.alpha, seed=manifest.seed)
     out = Path(args.out)
     csv_path = out / "bootstrap_summary.csv"

@@ -317,6 +317,58 @@ class TestBadOptions:
         with pytest.raises(Resampled):
             main([*argv, "--B", str(cli.MAX_HELD_POINTS // dim)])
 
+    def test_bootstrap_ceiling_checked_before_the_contours_are_read(self, tmp_path, capsys):
+        # eight entries, none of them readable: the ceiling is checked first
+        man = tmp_path / "m.manifest"
+        man.write_text("".join(f"contour id{i} missing{i}.csv\n" for i in range(8)))
+        argv = ["bootstrap", "--manifest", str(man), "--out", str(tmp_path / "o")]
+        assert main([*argv, "--B", "33334"]) == 2
+        assert capsys.readouterr().err == (
+            "error: --B 33334 x dimension 300 = 10000200 resampled mean coordinates, "
+            "more than the limit of 10000000\n"
+        )
+        assert main([*argv, "--B", "33333"]) == 2
+        assert "entry 'id0'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "correspondence, n, k",
+        # the largest k each holds: 20 x 500,000 and 8 x (8 x 156,249 + 1) coordinates
+        [("shared-times", 20, 500_000), ("union-of-times", 8, 156_250)],
+    )
+    def test_sample_size_checked_before_the_contours_are_read(
+        self, tmp_path, capsys, monkeypatch, correspondence, n, k
+    ):
+        # load_sample fails if called, and none of the files exists
+        class Loaded(Exception):
+            pass
+
+        def load_sample(manifest):
+            raise Loaded
+
+        def write_manifest(k):
+            entries = "".join(f"contour id{i} missing{i}.csv\n" for i in range(n))
+            man.write_text(f"k {k}\ncorrespondence {correspondence}\n{entries}")
+
+        monkeypatch.setattr(cli, "load_sample", load_sample)
+        man = tmp_path / "m.manifest"
+        extra = {"test": ["--m0", "m0.csv", "--solve-delta"], "bootstrap": [], "mean": [], "plot": []}
+        dim = k + 1 if correspondence == "shared-times" else n * k + 1
+        for command, options in extra.items():
+            out = tmp_path / command
+            argv = [command, "--manifest", str(man), "--out", str(out), *options]
+            write_manifest(k + 1)
+            assert main(argv) == 2
+            assert capsys.readouterr().err == (
+                f"error: {n} contours x dimension {dim} = {n * dim} sample coordinates, "
+                "more than the limit of 10000000\n"
+            )
+            assert not out.exists()
+            if command == "bootstrap":
+                continue  # at the limit, --B 400 x dimension is over it
+            write_manifest(k)
+            with pytest.raises(Loaded):
+                main(argv)
+
     def test_options_checked_before_the_manifest_is_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing")
         code = main(["bootstrap", "--manifest", missing, "--out", str(tmp_path), "--B", "10"])
@@ -397,6 +449,16 @@ class TestOneContourManifest:
         assert code == 2
         err = capsys.readouterr().err
         assert err == f"error: {argv[0]} needs at least 2 contours, the manifest lists 1\n"
+
+    @pytest.mark.parametrize("command", ["test", "bootstrap"])
+    def test_count_checked_before_the_contour_is_read(self, tmp_path, capsys, command):
+        man = tmp_path / "one.manifest"
+        man.write_text("contour only missing.csv\n")
+        argv = ["--m0", "missing.csv", "--solve-delta"] if command == "test" else []
+        assert main([command, "--manifest", str(man), "--out", str(tmp_path / "o"), *argv]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {command} needs at least 2 contours, the manifest lists 1\n"
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("command", ["mean", "plot"])
     def test_mean_and_plot_still_run(self, tmp_path, command):

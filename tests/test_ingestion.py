@@ -635,6 +635,16 @@ class TestManifest:
         with pytest.raises(cs.ManifestError, match="bad.manifest:1"):
             cs.parse_manifest(man)
 
+    def test_comment_after_a_directive_rejected(self, tmp_path):
+        # a comment is a whole line; a '#' after a directive is one more token
+        man = tmp_path / "inline.manifest"
+        man.write_text("k 300  # landmarks\ncontour a a.csv\n")
+        message = "inline.manifest:1: unrecognized directive 'k 300  # landmarks'$"
+        with pytest.raises(cs.ManifestError, match=message):
+            cs.parse_manifest(man)
+        man.write_text("  # landmarks\nk 300\ncontour a a.csv\n")
+        assert cs.parse_manifest(man).k == 300
+
     def test_duplicate_ids_rejected(self, tmp_path):
         names = self.make_files(tmp_path, n=2)
         man = tmp_path / "dup.manifest"
