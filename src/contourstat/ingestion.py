@@ -253,6 +253,8 @@ def _read_pgm(path: Path) -> np.ndarray:
 _P2_COMMENT = re.compile(rb"(?<!\S)#[^\n]*")
 _P2_TOKEN = re.compile(rb"\S+")
 _P2_SPACE = re.compile(rb"\s")
+# the ASCII digits and the six whitespace bytes that bytes.split() splits at
+_P2_PLAIN = b"0123456789 \t\n\r\x0b\x0c"
 
 
 def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> np.ndarray:
@@ -260,8 +262,10 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
 
     The raster is cut into :func:`_chunks` at whitespace, and the chunks are
     converted one at a time, so at most one chunk's tokens exist as Python
-    objects at once.  The samples are counted before any is judged: a
-    truncated raster is reported as such, whatever it holds.
+    objects at once.  A chunk of plain digits and whitespace is parsed by one
+    C-level call, in which an over-long token saturates above maxval; any
+    other chunk is converted token by token.  The samples are counted before
+    any is judged: a truncated raster is reported as such, whatever it holds.
     """
     if data.find(b"#", start) >= 0:
         data = data[:start] + _P2_COMMENT.sub(b"", data[start:])
@@ -274,10 +278,14 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
     for pos, end in _chunks(data, start, _P2_SPACE):
         if have == need:
             break
-        tokens = data[pos:end].split()[: need - have]
-        if bad is None and tokens:
+        text = data[pos:end]
+        if text.translate(None, _P2_PLAIN):  # a sign, a letter or another byte
+            tokens = text.split()[: need - have]
+        else:  # a blank chunk holds no sample, where np.fromstring reads a 0
+            tokens = () if text.isspace() else np.fromstring(text, np.int64, sep=" ")[: need - have]
+        if bad is None and len(tokens):
             try:
-                chunk = np.array(tokens, dtype=np.int64)
+                chunk = np.asarray(tokens, dtype=np.int64)
                 if chunk.min() >= 0 and chunk.max() <= maxval:
                     values[have : have + len(tokens)] = chunk
                 else:

@@ -308,9 +308,11 @@ def approximation_errors(
 
     For each k, repeat and curve, a fresh set of k stopping times is drawn
     from a substream keyed by (seed, k-index, repeat), one draw per curve in
-    order.  When k equals a curve's own vertex count its vertex fractions are
-    used instead and nothing is drawn (the k-gon is the curve itself), so the
-    length error is exactly zero and the shape error is chord roundoff.
+    order: one uniform block for all the curves, which takes the same stream
+    as a :func:`select_stopping_times` call per curve.  When k equals a
+    curve's own vertex count its vertex fractions are used instead and nothing
+    is drawn (the k-gon is the curve itself), so the length error is exactly
+    zero and the shape error is chord roundoff.
     Returns two (len(k_grid), repeats * len(curves)) arrays, each row in draw
     order: repeat-major, curve-minor.
     """
@@ -318,10 +320,20 @@ def approximation_errors(
     rows = []
     for ki, k in enumerate(k_grid):
         times = np.empty((len(curves), repeats, k))
+        for i, (curve, (ref_fracs, _)) in enumerate(zip(curves, refs)):
+            if k == len(curve):
+                times[i] = ref_fracs
+        drawn = [i for i, curve in enumerate(curves) if k != len(curve)]
         for rep in range(repeats):
-            rng = _substream(seed, ki, rep)
-            for i, (curve, (ref_fracs, _)) in enumerate(zip(curves, refs)):
-                times[i, rep] = ref_fracs if k == len(curve) else select_stopping_times(k, rng).times
+            block = np.zeros((len(drawn), k))
+            block[:, 1:] = _substream(seed, ki, rep).uniform(0.0, 1.0, size=(len(drawn), k - 1))
+            block.sort(axis=1)
+            if k < 3 or not (np.diff(block, axis=1) > 0).all():
+                # k < 3 is refused and a repeated time (probability ~k^2 * 2^-53)
+                # redrawn by the per-curve draws that the block stands for
+                rng = _substream(seed, ki, rep)
+                block = [select_stopping_times(k, rng).times for _ in drawn]
+            times[drawn, rep] = block
         # (kind, curve, repeat) -> per kind in draw order
         rows.append(np.transpose(_approx_rows(curves, times, refs), (0, 2, 1)).reshape(2, -1))
     len_errs, shape_sqs = np.stack(rows, axis=1)

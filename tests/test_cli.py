@@ -836,6 +836,19 @@ def dent_points():
     return np.concatenate(([-3, 0, 1 - 1j, 2, 1 + 1j], sag))
 
 
+def assert_errors_equal_oracle(curves, k_grid, repeats, seed, errors):
+    """``errors`` are `support.approx_one` over each (k, repeat) substream, curve by curve."""
+    len_errs, shape_sqs = errors
+    assert len_errs.shape == shape_sqs.shape == (len(k_grid), repeats * len(curves))
+    for ki, k in enumerate(k_grid):
+        expected = []
+        for rep in range(repeats):
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ki, rep)))
+            expected += [approx_one(curve, k, rng) for curve in curves]
+        assert len_errs[ki].tolist() == [e[0] for e in expected]
+        assert shape_sqs[ki].tolist() == [e[1] for e in expected]
+
+
 class TestApproximationErrors:
     """One substream per (seed, k-index, repeat), and from it one k-gon per curve in order."""
 
@@ -845,16 +858,39 @@ class TestApproximationErrors:
         ]
         k_grid, repeats, seed = (5, 12, 8), 3, 21
         len_errs, shape_sqs = cs.approximation_errors(curves, k_grid, repeats, seed)
-        assert len_errs.shape == shape_sqs.shape == (3, repeats * len(curves))
-        for ki, k in enumerate(k_grid):
-            expected = []
-            for rep in range(repeats):
-                rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(ki, rep)))
-                expected += [approx_one(curve, k, rng) for curve in curves]
-            assert len_errs[ki].tolist() == [e[0] for e in expected]
-            assert shape_sqs[ki].tolist() == [e[1] for e in expected]
+        assert_errors_equal_oracle(curves, k_grid, repeats, seed, (len_errs, shape_sqs))
         # k = 12 is the first curve's own vertex count: its k-gons are the curve itself
         assert len_errs[1, ::3].tolist() == [0.0] * repeats
+
+    def test_a_repeated_time_redraws_its_repeat_curve_by_curve(self, monkeypatch):
+        # the block of one (k, repeat) repeats a time in its last row; the
+        # per-curve draws redraw that row, which moves every later draw of the
+        # repeat, so the repeat is drawn again from a fresh substream
+        curves = [
+            cs.canonicalize(cs.Contour(wobbly_points(K, phase=0.3 * K))) for K in (12, 30, 17)
+        ]
+        # k = 12 is the first curve's vertex count: the block holds the other two
+        k_grid, repeats, seed = (5, 12), 2, 21
+        substream, keys = shape_space._substream, []
+
+        class RepeatedTime:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, low, high, size):
+                block = self.rng.uniform(low, high, size)
+                block[-1, -1] = block[-1, 0]
+                return block
+
+        def first_block_repeats(seed, *key):
+            keys.append(key)
+            rng = substream(seed, *key)
+            return RepeatedTime(rng) if keys.count(key) == 1 and key == (1, 1) else rng
+
+        monkeypatch.setattr(shape_space, "_substream", first_block_repeats)
+        errors = cs.approximation_errors(curves, k_grid, repeats, seed)
+        assert keys.count((1, 1)) == 2  # the block and the redraw
+        assert_errors_equal_oracle(curves, k_grid, repeats, seed, errors)
 
     @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-300])
     def test_scaled_curve_gives_the_errors_of_its_unit_twin(self, scale):

@@ -1,12 +1,19 @@
 """Seeded mutation fuzz: a corrupted input file ends in exit 0 or 2, never in an exception.
 
 A four-contour, k = 8 sample (two CSV point lists, a P5 and a P2 mask) and its
-manifest are written once.  Each fuzz input then corrupts one of the five
-files by a byte flip, an inserted byte, a deleted byte or a truncation, and
-runs ``mean``, ``plot`` and ``bootstrap --B 50`` on it through ``cli.main``
-with every warning raised as an error, and with every value the library
-builds unchecked built by its public constructor too.  Exit 0 leaves stderr
-empty, and exit 2 leaves exactly one line on it, starting ``error: ``.
+``shared-times`` manifest are written once, and with them a
+``union-of-times`` manifest over the same contours and two hypothesized
+contours, a CSV point list and a P2 mask.  Each fuzz input then corrupts one
+file by a byte flip, an inserted byte, a deleted byte or a truncation, and
+runs through ``cli.main`` each command under test that reads that file.  The
+first test runs ``mean``, ``plot`` and ``bootstrap --B 50`` on the sample
+alone; the second runs the other commands: ``approx``, ``test --delta`` with
+the CSV hypothesis, ``test --solve-delta`` with the P2 one, and the tests,
+``bootstrap`` and ``plot`` on the union manifest.  Every warning is raised as
+an error, and every value the library builds unchecked is built by its
+public constructor too.  Each command succeeds on the unmutated files; on a
+mutated one, exit 0 leaves stderr empty, and exit 2 leaves exactly one line
+on it, starting ``error: ``.
 """
 
 import warnings
@@ -17,24 +24,59 @@ import pytest
 from contourstat.cli import main
 from support import public_constructors_agree, wobbly_points  # noqa: F401 (a fixture)
 
-INPUTS = 300
+
+def ellipse_mask(a: float, b: float) -> np.ndarray:
+    yy, xx = np.mgrid[0:24, 0:24]
+    return (((xx - 12) / a) ** 2 + ((yy - 11) / b) ** 2 <= 1.0).astype(np.uint8) * 255
+
+
+def p2_bytes(mask: np.ndarray) -> bytes:
+    rows = "\n".join(" ".join(str(v) for v in row) for row in mask)
+    return f"P2\n# a comment\n24 24\n255\n{rows}\n".encode("ascii")
+
+
+def csv_bytes(points: np.ndarray) -> bytes:
+    return "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in points).encode()
 
 
 def pristine_files():
     """File name -> bytes of the unmutated sample."""
-    yy, xx = np.mgrid[0:24, 0:24]
-    mask = (((xx - 12) / 9) ** 2 + ((yy - 11) / 6) ** 2 <= 1.0).astype(np.uint8) * 255
-    p2_rows = "\n".join(" ".join(str(v) for v in row) for row in mask[:, ::-1])
-    files = {
-        "m0.pgm": b"P5\n24 24\n255\n" + mask.tobytes(),
-        "m1.pgm": f"P2\n# a comment\n24 24\n255\n{p2_rows}\n".encode("ascii"),
-    }
+    mask = ellipse_mask(9, 6)
+    files = {"m0.pgm": b"P5\n24 24\n255\n" + mask.tobytes(), "m1.pgm": p2_bytes(mask[:, ::-1])}
     for i in range(2):
-        pts = wobbly_points(30, phase=0.4 * i)
-        files[f"c{i}.csv"] = "".join(f"{z.real:.17g},{z.imag:.17g}\n" for z in pts).encode()
+        files[f"c{i}.csv"] = csv_bytes(wobbly_points(30, phase=0.4 * i))
     entries = "".join(f"contour {name.split('.')[0]} {name}\n" for name in sorted(files))
     files["sample.manifest"] = f"seed 3\nk 8\n{entries}".encode("ascii")
     return files
+
+
+def every_file():
+    """:func:`pristine_files`, a union-of-times manifest and two hypothesized contours."""
+    files = pristine_files()
+    union = files["sample.manifest"].replace(b"k 8\n", b"k 8\ncorrespondence union-of-times\n")
+    files["union.manifest"] = union
+    files["h.csv"] = csv_bytes(wobbly_points(40, amp3=0.25, phase=0.2))
+    files["h.pgm"] = p2_bytes(ellipse_mask(8, 7))
+    return files
+
+
+# every command reads the four contours of either manifest
+CONTOURS = {"c0.csv", "c1.csv", "m0.pgm", "m1.pgm"}
+# (arguments, manifest, hypothesized contour or None)
+SAMPLE_COMMANDS = [
+    (["mean"], "sample.manifest", None),
+    (["plot"], "sample.manifest", None),
+    (["bootstrap", "--B", "50"], "sample.manifest", None),
+]
+OTHER_COMMANDS = [
+    (["approx", "--k-grid", "5,8", "--repeats", "3"], "sample.manifest", None),
+    (["test", "--delta", "0.05"], "sample.manifest", "h.csv"),
+    (["test", "--solve-delta"], "sample.manifest", "h.pgm"),
+    (["test", "--delta", "0.05"], "union.manifest", "h.csv"),
+    (["test", "--solve-delta"], "union.manifest", "h.pgm"),
+    (["bootstrap", "--B", "50"], "union.manifest", None),
+    (["plot"], "union.manifest", None),
+]
 
 
 def mutate(data: bytes, rng: np.random.Generator) -> bytes:
@@ -49,27 +91,41 @@ def mutate(data: bytes, rng: np.random.Generator) -> bytes:
     return data[:pos]  # truncate
 
 
-@pytest.mark.usefixtures("public_constructors_agree")
-def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
-    files = pristine_files()
+def run(directory, args, manifest, m0, where) -> int:
+    """Exit status of one command through ``cli.main``, failing the test on any exception."""
+    argv = [*args, "--manifest", str(directory / manifest), "--out", str(directory / "out")]
+    if m0 is not None:
+        argv += ["--m0", str(directory / m0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            return main(argv)
+        except Exception as err:
+            pytest.fail(f"{where}: {err!r}")
+
+
+def fuzz(directory, capsys, files, commands, inputs, entropy) -> None:
+    """Run ``inputs`` seeded mutations of ``files`` through the ``commands`` that read them."""
     names = sorted(files)
-    man, out = str(tmp_path / "sample.manifest"), str(tmp_path / "out")
+    for name, data in files.items():
+        (directory / name).write_bytes(data)
+    for args, manifest, m0 in commands:
+        status = run(directory, args, manifest, m0, f"pristine files, {args[0]} on {manifest}")
+        assert status == 0, capsys.readouterr().err
+    capsys.readouterr()
     statuses = {0: 0, 2: 0}
-    for i in range(INPUTS):
-        rng = np.random.default_rng(np.random.SeedSequence(2024, spawn_key=(i,)))
+    for i in range(inputs):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy, spawn_key=(i,)))
         for name, data in files.items():
-            (tmp_path / name).write_bytes(data)
+            (directory / name).write_bytes(data)
         target = names[int(rng.integers(len(names)))]
         mutated = mutate(files[target], rng)
-        (tmp_path / target).write_bytes(mutated)
-        for command in (["mean"], ["plot"], ["bootstrap", "--B", "50"]):
-            where = f"input {i}, {target} as {mutated!r}, {command[0]}"
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                try:
-                    status = main([*command, "--manifest", man, "--out", out])
-                except Exception as err:
-                    pytest.fail(f"{where}: {err!r}")
+        (directory / target).write_bytes(mutated)
+        for args, manifest, m0 in commands:
+            if target not in CONTOURS | {manifest, m0}:
+                continue  # the run would repeat the pristine one
+            where = f"input {i}, {target} as {mutated!r}, {' '.join(args)} on {manifest}"
+            status = run(directory, args, manifest, m0, where)
             assert status in statuses, where
             stderr = capsys.readouterr().err
             if status == 0:
@@ -80,3 +136,13 @@ def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
             statuses[status] += 1
     # the mutations both break inputs and leave some of them usable
     assert min(statuses.values()) > 0
+
+
+@pytest.mark.usefixtures("public_constructors_agree")
+def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
+    fuzz(tmp_path, capsys, pristine_files(), SAMPLE_COMMANDS, 300, 2024)
+
+
+@pytest.mark.usefixtures("public_constructors_agree")
+def test_mutated_inputs_of_the_other_commands_exit_zero_or_two(tmp_path, capsys):
+    fuzz(tmp_path, capsys, every_file(), OTHER_COMMANDS, 150, 2025)

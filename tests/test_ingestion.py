@@ -456,6 +456,30 @@ class TestReadP2:
         with pytest.raises(cs.ParseError, match="P2 raster truncated: have 28 samples, need 32"):
             _read_pgm(f)
 
+    @pytest.mark.parametrize("chunk", [1, 5, 64])
+    def test_plain_and_signed_chunks_in_one_file(self, tmp_path, monkeypatch, chunk):
+        # a chunk of digits and whitespace is parsed in one call, and a blank
+        # one holds no sample; a chunk that holds a '+255' is declined and
+        # converted token by token
+        monkeypatch.setattr(ingestion, "_CHUNK", chunk)
+        parsed, fromstring = [], np.fromstring
+
+        def spy(text, *args, **kwargs):
+            parsed.append(text)
+            return fromstring(text, *args, **kwargs)
+
+        monkeypatch.setattr(ingestion.np, "fromstring", spy)
+        mask = blob_mask(7).astype(np.uint8) * 255
+        rows = [" ".join(str(int(v)) for v in row) for row in mask]
+        rows[::3] = [row.replace("255", "+255") for row in rows[::3]]
+        rows[1::3] = [row.replace(" ", " \t") for row in rows[1::3]]
+        raster = "\r\n\x0b\x0c".join(rows) + "\n"
+        assert "+255" in raster
+        (tmp_path / "m.pgm").write_text(f"P2\n{mask.shape[1]} {mask.shape[0]}\n255\n{raster}")
+        write_pgm_p5(tmp_path / "twin.pgm", mask)
+        assert np.array_equal(_read_pgm(tmp_path / "m.pgm"), _read_pgm(tmp_path / "twin.pgm"))
+        assert parsed and not any(b"+" in text for text in parsed)
+
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_large_p2_peak_memory_near_its_p5_twin(self, tmp_path):
         yy, xx = np.mgrid[0:1500, 0:1500]

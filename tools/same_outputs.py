@@ -11,8 +11,10 @@ bootstrap, bootstrap with ``SHAPE_THREADS``, plot) as ``python -m
 contourstat`` against the ``src/`` of this checkout and of ``--base``.  Both
 workloads share their stopping times, so one more pass runs mean, both
 tests, bootstrap (B = 50) and plot on the shared-k300 files under a
-``union-of-times`` manifest at ``k 40``, a dimension of about 1,200.  It
-compares the exit codes, stdout and stderr (with the output directory
+``union-of-times`` manifest at ``k 40``, a dimension of about 1,200.  A last
+pass rewrites every masks-k8 mask and its m0 as P2, with a comment line
+between rows, and runs approx, mean, test ``--solve-delta`` and plot on them.
+It compares the exit codes, stdout and stderr (with the output directory
 replaced by ``<out>``) and the bytes of every file written, prints each
 difference, and exits 1 if there is any.  Files under ``bench/`` are only
 imported.
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +36,8 @@ sys.path.insert(0, str(ROOT / "bench"))
 
 import run  # noqa: E402  (pins the BLAS thread variables before numpy loads)
 from workloads import WORKLOADS, generate  # noqa: E402
+
+import numpy as np  # noqa: E402
 
 
 def outputs(src: Path, step: str, argv: list[str], out: Path) -> dict:
@@ -67,6 +72,36 @@ def union_of_times(inputs, seed: int, directory: Path):
     return replace(inputs, manifest=manifest)
 
 
+# approx and the sample commands read every mask once, and solve-delta the m0 too
+P2_STEPS = ("approx", "mean", "solve-delta", "plot")
+# magic, width, height and maxval of a generated mask, then one whitespace byte
+PGM_HEADER = re.compile(rb"(P[25])\s+(?:#[^\n]*\n)*(\d+)\s+(\d+)\s+(\d+)\s")
+
+
+def all_p2(inputs, directory: Path):
+    """``inputs`` with every mask and the m0 rewritten as P2, a comment line between rows."""
+    directory.mkdir(parents=True)
+    for path in (*inputs.contours, inputs.m0):
+        data = path.read_bytes()
+        header = PGM_HEADER.match(data)
+        magic, width, height, maxval = header.groups()
+        raster = data[header.end() :]
+        values = np.frombuffer(raster, np.uint8) if magic == b"P5" else raster.split()
+        rows = np.array(values, int).reshape(int(height), int(width)).tolist()
+        rows = [" ".join(map(str, row)) for row in rows]
+        text = b"P2\n%s %s\n%s\n" % (width, height, maxval) + "\n# next row\n".join(rows).encode()
+        (directory / path.name).write_bytes(text + b"\n")
+    # the manifest names its contours relative to itself
+    (directory / inputs.manifest.name).write_bytes(inputs.manifest.read_bytes())
+    return replace(
+        inputs,
+        directory=directory,
+        manifest=directory / inputs.manifest.name,
+        m0=directory / inputs.m0.name,
+        contours=tuple(directory / p.name for p in inputs.contours),
+    )
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the other checkout")
@@ -91,6 +126,9 @@ def main(argv=None) -> int:
         shared = "shared-k300"
         union = union_of_times(inputs[shared], args.seed, Path(tmp) / "union-of-times")
         passes.append(("union-of-times", replace(WORKLOADS[shared], B=50), union, UNION_STEPS))
+        masks = "masks-k8"
+        p2 = all_p2(inputs[masks], Path(tmp) / "all-p2")
+        passes.append(("all-P2", WORKLOADS[masks], p2, P2_STEPS))
         for name, w, step_inputs, steps in passes:
             for step in steps:
                 got = {}
