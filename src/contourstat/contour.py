@@ -28,7 +28,6 @@ __all__ = [
     "evaluate",
     "relative_length_error",
     "build_correspondence",
-    "union_of_times",
 ]
 
 
@@ -112,14 +111,14 @@ def _require_finite(points: np.ndarray) -> None:
         )
 
 
-def _require_polygons(points: np.ndarray) -> None:
+def _require_polygons(points: np.ndarray, what: str = "contour") -> None:
     """Reject closed polygons (one per row) with equal consecutive or < 3 distinct vertices."""
     if np.any(_closed_edges(points) == 0):
-        raise DegenerateContourError("contour has two equal consecutive points")
+        raise DegenerateContourError(f"{what} has two equal consecutive points")
     # with no two neighbours equal, fewer than 3 distinct points means the
     # vertices alternate between two
     if np.any(np.all(points == np.roll(points, 2, axis=-1), axis=-1)):
-        raise DegenerateContourError("contour has fewer than 3 distinct points")
+        raise DegenerateContourError(f"{what} has fewer than 3 distinct points")
 
 
 def _arc_centroid(points: np.ndarray) -> complex:
@@ -129,10 +128,7 @@ def _arc_centroid(points: np.ndarray) -> complex:
     """
     nxt = np.roll(points, -1)
     lengths = np.abs(nxt - points)
-    total = lengths.sum()
-    if not total > 0.0:
-        raise DegenerateContourError("contour has zero total length")
-    return complex(((points + nxt) * 0.5 * lengths).sum() / total)
+    return complex(((points + nxt) * 0.5 * lengths).sum() / lengths.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -239,13 +235,13 @@ def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
         raise DegenerateContourError("contour has zero signed area; orientation undefined")
     if area < 0.0:
         pts = pts[::-1]
-    # decided on exactly rescaled points, so that no product over- or underflows
+    # decided on exactly rescaled points, so that no product over- or underflows;
+    # nonzero area leaves no coordinate constant, so the largest, exact in
+    # [0.5, 1), differs at some vertex: the length is positive and rmax too
     scaled = _unit_scaled(pts)
     center = _arc_centroid(scaled)
     radii = np.abs(scaled - center)
     rmax = float(radii.max())
-    if not rmax > 0.0:
-        raise DegenerateContourError("all contour points coincide with the center of mass")
     tol = 1e-9 * (2.0 * rmax)
     candidates = np.nonzero(radii >= rmax - tol)[0]
     angles = np.mod(np.angle(scaled[candidates] - center), 2.0 * np.pi)
@@ -282,8 +278,14 @@ def evaluate(curve: ParamCurve, times: StoppingTimes) -> Contour:
     A fraction s maps to the point at arclength s * total_length.  Fractions
     that coincide with a vertex's own fraction return that vertex exactly, so
     evaluating at the vertex fractions reproduces the vertices bit for bit.
+    Raises :class:`DegenerateContourError` where the k-gon is no polygon: for
+    k < 3, or where times closer together than the coordinates resolve give
+    it two equal consecutive vertices.
     """
-    return Contour(_interpolate(curve.cum_lengths[None], curve.vertices[None], times.times[None])[0])
+    # finite, as its points lie on edges whose lengths sum to a finite perimeter
+    kgon = _interpolate(curve.cum_lengths[None], curve.vertices[None], times.times[None])
+    _require_polygons(kgon, f"its {times.k}-gon")
+    return _fill(Contour, points=kgon[0])
 
 
 def _interpolate(cum: np.ndarray, vertices: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -317,14 +319,6 @@ def relative_length_error(reference_length: float, kgon: Contour) -> float:
     return (reference_length - float(_cum_lengths(kgon.points)[-1])) / reference_length
 
 
-def union_of_times(times_list: Sequence[StoppingTimes]) -> StoppingTimes:
-    """Sorted deduplicated union of several stopping-time sets."""
-    if not times_list:
-        raise ValueError("empty list of stopping times")
-    merged = np.unique(np.concatenate([t.times for t in times_list]))
-    return _fill(StoppingTimes, times=merged)
-
-
 def build_correspondence(
     sample: Sequence[ParamCurve],
     strategy: str,
@@ -350,5 +344,6 @@ def build_correspondence(
         ks = [k] * len(sample) if isinstance(k, int) else list(k)
         if len(ks) != len(sample):
             raise ValueError(f"need one k per curve, got {len(ks)} for {len(sample)} curves")
-        return union_of_times([select_stopping_times(ki, rng) for ki in ks])
+        merged = np.unique(np.concatenate([select_stopping_times(ki, rng).times for ki in ks]))
+        return _fill(StoppingTimes, times=merged)
     raise ValueError(f"unknown correspondence strategy: {strategy!r}")

@@ -469,11 +469,17 @@ def load_sample(manifest: SampleManifest) -> tuple[list[Preshape], StoppingTimes
     All contours are evaluated at one common set of stopping-time fractions
     chosen per the manifest's correspondence strategy and seed, so the
     returned preshapes share a dimension and a vertex correspondence.  Any
-    per-file failure aborts with the offending entry id.
+    per-contour failure, in reading it or in evaluating it at the stopping
+    times, aborts with the offending entry id.
     """
     curves = read_curves(manifest)
     times = build_correspondence(curves, manifest.strategy, manifest.k, _substream(manifest.seed))
-    shapes = [preshape(evaluate(curve, times)) for curve in curves]
+    shapes = []
+    for (cid, _), curve in zip(manifest.entries, curves):
+        try:
+            shapes.append(preshape(evaluate(curve, times)))
+        except ContourStatError as err:
+            raise ManifestError(f"entry '{cid}': {err}") from err
     return shapes, times
 
 

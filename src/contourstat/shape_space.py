@@ -230,12 +230,7 @@ def eigensystem(m: np.ndarray) -> EigenSystem:
     if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
         raise ValueError("matrix is not Hermitian; eigensystem undefined")
     w, v = np.linalg.eigh(a)
-    w = w[::-1].copy()
-    v = _phase(v[:, ::-1].copy())
-    recon = (v * w) @ v.conj().T
-    if np.max(np.abs(a - recon)) > 1e-8 * scale:
-        raise ValueError("eigendecomposition failed the reconstruction check")
-    return EigenSystem(w, v)
+    return _fill(EigenSystem, eigenvalues=w[::-1], eigenvectors=_phase(v[:, ::-1]))
 
 
 def _phase(v: np.ndarray) -> np.ndarray:
@@ -354,7 +349,7 @@ def _approx_rows(
     kgons = np.array(
         [_interpolate(c.cum_lengths[None], c.vertices[None], t) for c, t in zip(curves, times)]
     )
-    _require_polygons(kgons)
+    _require_polygons(kgons, f"a {times.shape[-1]}-gon")
     cum = _cum_lengths(kgons)
     if np.any(np.diff(cum) <= 0):
         raise DegenerateContourError("k-gon arclength is not strictly increasing")

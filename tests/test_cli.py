@@ -526,6 +526,40 @@ class TestFailuresNameTheirInput:
         assert capsys.readouterr().err == f"error: --m0 {hyp}: {self.ZERO_AREA}\n"
 
 
+class TestCollapsedKgon:
+    """A k-gon whose stopping times are closer together than its contour's coordinates resolve."""
+
+    COMMANDS = {
+        "approx": ["--k-grid", "300", "--repeats", "2"],
+        "mean": [],
+        "test": ["--m0", "c0.csv", "--delta", "0.1"],
+        "bootstrap": ["--B", "50"],
+        "plot": [],
+    }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_two_naming_the_kgon(self, tmp_path, capsys, monkeypatch, command):
+        # far.csv is a valid square of side 8 at 2^50, where coordinates are
+        # 0.25 apart; 300 times on its perimeter of 32 are 0.11 apart on average
+        for i in range(2):
+            cs.write_contour(cs.Contour(wobbly_points(120, phase=0.1 * i)), tmp_path / f"c{i}.csv")
+        square = np.array([0, 8, 8 + 8j, 8j]) + 2.0**50 * (1 + 1j)
+        cs.write_contour(cs.Contour(square), tmp_path / "far.csv")
+        man = tmp_path / "far.manifest"
+        man.write_text(
+            "seed 1\nk 300\ncorrespondence shared-times\n"
+            "contour c0 c0.csv\ncontour c1 c1.csv\ncontour far far.csv\n"
+        )
+        monkeypatch.chdir(tmp_path)
+        argv = [command, "--manifest", str(man), "--out", "out", *self.COMMANDS[command]]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        if command == "approx":  # its k-gons are drawn per contour, not per entry
+            assert err == "error: a 300-gon has two equal consecutive points\n"
+        else:
+            assert err == "error: entry 'far': its 300-gon has two equal consecutive points\n"
+
+
 class TestWorkDoneOncePerCommand:
     def count_calls(self, monkeypatch, calls, module, name):
         original = getattr(module, name)

@@ -25,6 +25,14 @@ SQUARE = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j])  # ccw, centered
 UNIT_SQUARE = np.array([0 + 0j, 1 + 0j, 1 + 1j, 0 + 1j])  # ccw
 
 
+def union_of(monkeypatch, draws):
+    """The union-of-times correspondence of len(draws) curves whose draws are ``draws``, in order."""
+    given = iter(draws)
+    monkeypatch.setattr(contour, "select_stopping_times", lambda k, rng: next(given))
+    curves = [cs.canonicalize(cs.Contour(UNIT_SQUARE))] * len(draws)
+    return cs.build_correspondence(curves, "union-of-times", 3, np.random.default_rng(0))
+
+
 def ngon(n, radius=1.0):
     return radius * np.exp(2j * np.pi * np.arange(n) / n)
 
@@ -326,6 +334,7 @@ class TestSelectStoppingTimes:
             assert t.times[-1] < 1.0
 
 
+@pytest.mark.usefixtures("public_constructors_agree")
 class TestEvaluate:
     def test_vertex_times_identity_exact(self):
         curve = cs.canonicalize(wobbly_contour(57))
@@ -343,6 +352,21 @@ class TestEvaluate:
         # 0.25 is exactly the fraction of vertex 1
         out = cs.evaluate(curve, cs.StoppingTimes([0.0, 0.25, 0.6]))
         assert out.points[1] == curve.vertices[1]
+
+    def test_times_closer_than_the_coordinates_resolve_rejected(self):
+        # a square of side 8 at 2^50, where coordinates are 0.25 apart: 300
+        # times on its perimeter of 32 put two k-gon vertices on one point
+        far = cs.canonicalize(cs.Contour(8 * UNIT_SQUARE + 2.0**50 * (1 + 1j)))
+        times = cs.select_stopping_times(300, np.random.default_rng(0))
+        message = "^its 300-gon has two equal consecutive points$"
+        with pytest.raises(cs.DegenerateContourError, match=message):
+            cs.evaluate(far, times)
+        assert len(cs.evaluate(far, cs.select_stopping_times(4, np.random.default_rng(0)))) == 4
+
+    @pytest.mark.parametrize("times", [[0.0], [0.0, 0.5]], ids=["k=1", "k=2"])
+    def test_fewer_than_three_times_rejected(self, times):
+        with pytest.raises(cs.DegenerateContourError, match=f"^its {len(times)}-gon has "):
+            cs.evaluate(cs.ParamCurve(UNIT_SQUARE), cs.StoppingTimes(times))
 
 
 def polygon_rows(rng, rows, m, flat):
@@ -477,23 +501,36 @@ class TestCorrespondence:
         times = cs.build_correspondence(curves, "union-of-times", [6, 9], np.random.default_rng(8))
         assert 9 <= times.k <= 15
 
-    def test_union_of_identical_sets_is_that_set(self):
+    def test_union_of_identical_sets_is_that_set(self, monkeypatch):
         t = cs.select_stopping_times(10, np.random.default_rng(1))
-        u = cs.union_of_times([t, t])
+        u = union_of(monkeypatch, [t, t])
         assert np.array_equal(u.times, t.times)
 
-    def test_union_merges_and_sorts(self):
+    def test_union_merges_and_sorts(self, monkeypatch):
         a = cs.StoppingTimes([0.0, 0.5])
         b = cs.StoppingTimes([0.0, 0.25])
-        u = cs.union_of_times([a, b])
+        u = union_of(monkeypatch, [a, b])
         assert np.array_equal(u.times, [0.0, 0.25, 0.5])
 
-    def test_union_strategy_covers_every_curve_draw(self):
+    def test_union_strategy_covers_every_curve_draw(self, monkeypatch):
+        draws = []
+
+        def recorded(k, rng):
+            draws.append(select(k, rng))
+            return draws[-1]
+
+        select = contour.select_stopping_times
+        monkeypatch.setattr(contour, "select_stopping_times", recorded)
         curves = [cs.canonicalize(wobbly_contour(150)) for _ in range(3)]
         times = cs.build_correspondence(curves, "union-of-times", 8, np.random.default_rng(5))
         assert times.k <= 3 * 8
         assert times.k >= 8
         assert times.times[0] == 0.0
+        # every draw, sorted, each time once, in arrays of its own
+        assert len(draws) == 3 and all(np.isin(d.times, times.times).all() for d in draws)
+        assert np.array_equal(times.times, np.unique(np.concatenate([d.times for d in draws])))
+        assert np.all(np.diff(times.times) > 0)
+        assert_frozen_and_unaliased(times, *(d.times for d in draws))
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
@@ -522,11 +559,18 @@ class TestDerivedValuesAreFrozen:
     def test_select_stopping_times(self):
         assert_frozen_and_unaliased(cs.select_stopping_times(9, np.random.default_rng(3)))
 
-    def test_union_of_times(self):
+    def test_evaluate(self):
+        curve = cs.canonicalize(wobbly_contour(30))
+        times = cs.StoppingTimes(curve.cum_lengths[:-1] / curve.total_length)  # the vertices
+        kgon = cs.evaluate(curve, times)
+        assert np.array_equal(kgon.points, curve.vertices)
+        assert_frozen_and_unaliased(kgon, curve.vertices, curve.cum_lengths, times.times)
+
+    def test_union_of_times(self, monkeypatch):
         a = cs.select_stopping_times(5, np.random.default_rng(4))
         b = cs.StoppingTimes([0.0, 0.5])
-        assert_frozen_and_unaliased(cs.union_of_times([a, b]), a.times, b.times)
-        assert_frozen_and_unaliased(cs.union_of_times([a]), a.times)
+        assert_frozen_and_unaliased(union_of(monkeypatch, [a, b]), a.times, b.times)
+        assert_frozen_and_unaliased(union_of(monkeypatch, [a]), a.times)
 
 
 class TestPublicConstructorsAgree:

@@ -134,7 +134,6 @@ PUBLIC_NAMES = {
     "evaluate",
     "relative_length_error",
     "build_correspondence",
-    "union_of_times",
     "DEFAULT_GAP_TOL",
     "Preshape",
     "EigenSystem",

@@ -715,6 +715,23 @@ class TestManifest:
         with pytest.raises(cs.ManifestError, match="broken"):
             cs.load_sample(cs.parse_manifest(man))
 
+    def test_load_sample_peak_memory_per_coordinate(self, tmp_path):
+        # MAX_HELD_POINTS counts about 25 bytes per sample coordinate: the
+        # 16-byte preshapes held, plus one contour's k-gon temporaries at a time
+        names = self.make_files(tmp_path, n=12)
+        man = tmp_path / "m.manifest"
+        man.write_text("k 100000\n" + "".join(f"contour id{i} {n}\n" for i, n in enumerate(names)))
+        manifest = cs.parse_manifest(man)
+        tracemalloc.start()
+        try:
+            shapes, _ = cs.load_sample(manifest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coordinates = sum(s.dimension for s in shapes)
+        assert coordinates == 12 * 100_000
+        assert peak <= 30 * coordinates, peak / coordinates
+
     def test_union_of_one_curve_matches_shared(self, tmp_path):
         names = self.make_files(tmp_path, n=1)
         man_s = tmp_path / "s.manifest"

@@ -242,6 +242,7 @@ class TestMeanMatrix:
             cs.mean_matrix([random_preshape(5, rng), random_preshape(6, rng)])
 
 
+@pytest.mark.usefixtures("public_constructors_agree")
 class TestEigensystem:
     def test_projector_spectrum(self):
         g = random_preshape(6, np.random.default_rng(18))
