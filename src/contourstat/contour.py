@@ -322,28 +322,22 @@ def relative_length_error(reference_length: float, kgon: Contour) -> float:
 def build_correspondence(
     sample: Sequence[ParamCurve],
     strategy: str,
-    k: int | Sequence[int],
+    k: int,
     rng: np.random.Generator,
 ) -> StoppingTimes:
     """Choose the common evaluation times that put a sample in correspondence.
 
     ``shared-times`` draws one set of k fractions and applies it to every
     curve, so vertex j of one k-gon corresponds to vertex j of any other.
-    ``union-of-times`` draws a set per curve (k may be a per-curve sequence)
-    and returns their sorted union; evaluating every curve at all union times
-    preserves the correspondence while letting curves be approximated at
-    different resolutions.
+    ``union-of-times`` draws a set of k per curve and returns their sorted
+    union; evaluating every curve at all union times preserves the
+    correspondence while each curve contributes its own draw.
     """
     if len(sample) == 0:
         raise ValueError("empty sample of curves")
     if strategy == "shared-times":
-        if not isinstance(k, int):
-            raise ValueError("shared-times needs a single integer k")
         return select_stopping_times(k, rng)
     if strategy == "union-of-times":
-        ks = [k] * len(sample) if isinstance(k, int) else list(k)
-        if len(ks) != len(sample):
-            raise ValueError(f"need one k per curve, got {len(ks)} for {len(sample)} curves")
-        merged = np.unique(np.concatenate([select_stopping_times(ki, rng).times for ki in ks]))
+        merged = np.unique(np.concatenate([select_stopping_times(k, rng).times for _ in sample]))
         return _fill(StoppingTimes, times=merged)
     raise ValueError(f"unknown correspondence strategy: {strategy!r}")

@@ -31,6 +31,7 @@ from .errors import DegenerateVarianceError
 from .shape_space import (
     EigenSystem,
     Preshape,
+    _hermitian,
     _require_same_dimension,
     chord_distance,
     extrinsic_covariance,
@@ -87,26 +88,22 @@ def tangent_offset(eigen: EigenSystem, m0: Preshape) -> np.ndarray:
 def studentizing_variance(offset: np.ndarray, cov: np.ndarray) -> float:
     """4 <offset, S offset>: the plug-in variance of the test statistic.
 
-    ``cov`` is the Hermitian extrinsic covariance S of
-    :func:`extrinsic_covariance`; a matrix that is not square or not
-    Hermitian within 1e-10 is rejected.  The Hermitian quadratic form is real
-    up to roundoff; the imaginary part is checked below 1e-10 and discarded,
-    and small negative values are clamped to zero.
+    ``cov`` is the extrinsic covariance S of :func:`extrinsic_covariance`,
+    checked as :func:`eigensystem` checks its matrix, and ``offset`` must be
+    finite.  The real part of the form is returned; a negative value within
+    the form's roundoff, 1e-12 of 4 |offset|^T |S| |offset| (Higham 2002,
+    section 3.1), is clamped to zero.
     """
-    cov = np.asarray(cov, dtype=np.complex128)
-    if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {cov.shape}")
-    if np.max(np.abs(cov - cov.conj().T), initial=0.0) > 1e-10:
-        raise ValueError("covariance is not Hermitian within 1e-10")
+    cov = _hermitian(cov, "covariance")
     offset = np.asarray(offset, dtype=np.complex128)
     if offset.shape != (len(cov),):
         raise ValueError(f"offset has shape {offset.shape}, expected ({len(cov)},)")
-    q = 4.0 * (offset.conj() @ cov @ offset)
-    if abs(q.imag) > 1e-10:
-        raise ValueError(f"quadratic form is not real: imaginary part {q.imag:.3e}")
-    if q.real < -1e-10:
-        raise ValueError(f"quadratic form is negative beyond tolerance: {q.real:.3e}")
-    return max(0.0, float(q.real))
+    if not np.isfinite(offset).all():
+        raise ValueError("offset has a non-finite entry")
+    q = 4.0 * (offset.conj() @ cov @ offset).real
+    if q < -1e-12 * 4.0 * (abs(offset) @ abs(cov) @ abs(offset)):
+        raise ValueError(f"quadratic form is negative beyond its roundoff: {q:.3e}")
+    return max(0.0, float(q))
 
 
 def neighborhood_test(

@@ -221,15 +221,22 @@ def mean_matrix(sample: Sequence[Preshape]) -> np.ndarray:
     return (m + m.conj().T) / 2.0
 
 
-def eigensystem(m: np.ndarray) -> EigenSystem:
-    """Full descending Hermitian eigendecomposition with a fixed phase convention."""
+def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
+    """A caller's matrix, complex: square, finite, Hermitian to 1e-12 of max(1, largest entry)."""
     a = np.asarray(m, dtype=np.complex128)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if np.max(np.abs(a - a.conj().T)) > 1e-12 * scale:
-        raise ValueError("matrix is not Hermitian; eigensystem undefined")
-    w, v = np.linalg.eigh(a)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} has a non-finite entry")
+    scale = max(1.0, float(np.max(np.abs(a), initial=0.0)))
+    if np.max(np.abs(a - a.conj().T), initial=0.0) > 1e-12 * scale:
+        raise ValueError(f"{what} is not Hermitian within 1e-12 of its largest entry")
+    return a
+
+
+def eigensystem(m: np.ndarray) -> EigenSystem:
+    """Full descending Hermitian eigendecomposition with a fixed phase convention."""
+    w, v = np.linalg.eigh(_hermitian(m, "matrix"))
     return _fill(EigenSystem, eigenvalues=w[::-1], eigenvectors=_phase(v[:, ::-1]))
 
 

@@ -496,11 +496,6 @@ class TestCorrespondence:
         for c, g in zip(curves, gons):
             assert g.points[0] == c.vertices[0]
 
-    def test_union_with_per_curve_counts(self):
-        curves = [cs.canonicalize(wobbly_contour(150)), cs.canonicalize(wobbly_contour(180, phase=1.0))]
-        times = cs.build_correspondence(curves, "union-of-times", [6, 9], np.random.default_rng(8))
-        assert 9 <= times.k <= 15
-
     def test_union_of_identical_sets_is_that_set(self, monkeypatch):
         t = cs.select_stopping_times(10, np.random.default_rng(1))
         u = union_of(monkeypatch, [t, t])

@@ -115,6 +115,52 @@ class TestStudentizingVariance:
         with pytest.raises(ValueError, match="not Hermitian"):
             cs.studentizing_variance(np.ones(2), cov)
 
+    @pytest.mark.parametrize(
+        "scale, asymmetry, hermitian",
+        [(1.0, 5e-13, True), (1.0, 1e-11, False), (1e6, 1e-8, True), (1e6, 2e-6, False)],
+    )
+    def test_hermitian_within_1e12_of_the_largest_entry(self, scale, asymmetry, hermitian):
+        # the rule of eigensystem: 1e-12 of max(1, largest entry)
+        cov = np.array([[scale, asymmetry], [0.0, scale]])
+        for check in (lambda m: cs.studentizing_variance(np.ones(2), m), cs.eigensystem):
+            if hermitian:
+                check(cov)
+            else:
+                with pytest.raises(ValueError, match="is not Hermitian within 1e-12 of its largest entry"):
+                    check(cov)
+
+    @pytest.mark.parametrize(
+        "offset, cov, what",
+        [
+            ([np.nan, 0.0], np.eye(2), "offset"),
+            ([np.inf, 0.0], np.eye(2), "offset"),
+            ([1.0, 0.0], [[np.nan, 0.0], [0.0, 1.0]], "covariance"),
+            ([1.0, 0.0], [[np.inf, 0.0], [0.0, 1.0]], "covariance"),
+        ],
+        ids=["nan-offset", "inf-offset", "nan-cov", "inf-cov"],
+    )
+    def test_non_finite_rejected(self, offset, cov, what):
+        with pytest.raises(ValueError, match=f"^{what} has a non-finite entry$"):
+            cs.studentizing_variance(np.array(offset), np.array(cov))
+
+    def test_imaginary_roundoff_of_a_large_form_discarded(self):
+        # near a focal spectrum S grows as 1/gap^2: an asymmetry of 1e-13 of
+        # its entries gives the form an imaginary part far above 1e-10
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        cov = 1e12 * (x @ x.conj().T + 1e-13 * rng.standard_normal((4, 4)))
+        nu = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        assert abs((nu.conj() @ cov @ nu).imag) > 1e-3
+        want = 4.0 * (nu.conj() @ ((cov + cov.conj().T) / 2.0) @ nu).real
+        assert cs.studentizing_variance(nu, cov) == pytest.approx(want, rel=1e-12)
+
+    def test_negative_beyond_the_roundoff_of_the_form_rejected(self):
+        # an indefinite S: q = -1e-11 is beyond 1e-12 of the form's scale 4 |nu|^T |S| |nu| = 8
+        cov = np.diag([1.0, -1.0 - 2.5e-12])
+        with pytest.raises(ValueError, match="negative beyond its roundoff"):
+            cs.studentizing_variance(np.ones(2), cov)
+        assert cs.studentizing_variance(np.ones(2), np.diag([1.0, -1.0 - 1e-13])) == 0.0
+
 
 class TestNeighborhoodTest:
     def test_boundary_radius_gives_t_zero(self):

@@ -282,6 +282,11 @@ class TestEigensystem:
         with pytest.raises(ValueError):
             cs.eigensystem(bad)
 
+    @pytest.mark.parametrize("bad", [np.full((3, 3), np.nan), np.diag([np.inf, 1.0, 1.0])])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
+            cs.eigensystem(bad)
+
     def test_rank_r_system(self):
         # r <= k orthonormal columns; eigenvalues not listed are zero
         vecs = np.eye(5, dtype=complex)
