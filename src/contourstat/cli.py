@@ -56,10 +56,10 @@ MEAN_STYLE = PathStyle(stroke="#d62728", width=1.6)
 BOOT_STYLE = PathStyle(stroke="#1f77b4", width=0.8, opacity=0.35)
 PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 
-# the most points a command may hold at once, each measured at its peak: approx's
-# k-gon vertices (--repeats x contours x the largest k), about 50 bytes each;
-# the sample that load_sample builds (contours x dimension), about 25 bytes each;
-# and bootstrap's resampled mean coordinates (--B x dimension), 23 to 99 bytes each
+# the most points a command may hold at once; traced peaks per point, 12 contours at
+# k = 20,000: approx's k-gon vertices (--repeats x contours x the largest k) 50 bytes;
+# the sample (contours x dimension) 25 in load_sample, 34 in plot, 66 in mean; and
+# bootstrap's resampled mean coordinates (--B x dimension) 33 at k = 5,000, 136 at k = 8
 MAX_HELD_POINTS = 10_000_000
 
 
@@ -192,11 +192,9 @@ def cmd_approx(args: argparse.Namespace, manifest: SampleManifest) -> None:
         for k, le, sq in zip(args.k_grid, len_errs, shape_sqs)
     ]
     out = Path(args.out) / "approx_report.csv"
-    header = "k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist"
-    body = "\n".join(
-        f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}" for k, m1, s1, m2, s2 in rows
-    )
-    out.write_text(header + "\n" + body + "\n", encoding="ascii")
+    with open(out, "w", encoding="ascii") as report:
+        report.write("k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist\n")
+        report.writelines(f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}\n" for k, m1, s1, m2, s2 in rows)
     print(f"{'k':>6} {'len_err_mean':>14} {'len_err_sd':>12} {'shape_sq_mean':>14} {'shape_sq_sd':>12}")
     for k, m1, s1, m2, s2 in rows:
         print(f"{k:>6} {m1:>14.6g} {s1:>12.6g} {m2:>14.6g} {s2:>12.6g}")
@@ -263,13 +261,11 @@ def cmd_bootstrap(args: argparse.Namespace, manifest: SampleManifest) -> None:
     region = bootstrap_region(shapes, B=args.B, alpha=args.alpha, seed=manifest.seed)
     out = Path(args.out)
     csv_path = out / "bootstrap_summary.csv"
-    lines = [
-        f"# B={args.B} alpha={args.alpha:.10g} radius={region.radius:.17g}",
-        "resample,distance,included",
-    ]
-    for i, (d, inc) in enumerate(zip(region.distances, region.included)):
-        lines.append(f"{i},{d:.17g},{int(inc)}")
-    csv_path.write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(csv_path, "w", encoding="ascii") as summary:
+        summary.write(f"# B={args.B} alpha={args.alpha:.10g} radius={region.radius:.17g}\n")
+        summary.write("resample,distance,included\n")
+        rows = enumerate(zip(region.distances, region.included))
+        summary.writelines(f"{i},{d:.17g},{int(inc)}\n" for i, (d, inc) in rows)
     overlay = [
         (align_rotation(bm, region.sample_mean), BOOT_STYLE)
         for bm, inc in zip(region.boot_means, region.included)

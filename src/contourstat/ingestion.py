@@ -78,8 +78,8 @@ def write_contour(contour: Contour, path) -> None:
     """Write a contour as CSV with 17 significant digits (lossless round-trip)."""
     if not isinstance(contour, Contour):
         raise TypeError(f"expected a Contour, got {type(contour).__name__}")
-    lines = [f"{z.real:.17g},{z.imag:.17g}" for z in contour.points]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with open(path, "w", encoding="ascii") as out:
+        out.writelines(f"{z.real:.17g},{z.imag:.17g}\n" for z in contour.points)
 
 
 # characters of input whose tokens exist as Python objects at once

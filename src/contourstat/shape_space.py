@@ -237,6 +237,8 @@ def _hermitian(m: np.ndarray, what: str) -> np.ndarray:
 def eigensystem(m: np.ndarray) -> EigenSystem:
     """Full descending Hermitian eigendecomposition with a fixed phase convention."""
     w, v = np.linalg.eigh(_hermitian(m, "matrix"))
+    if not len(w):
+        raise ValueError("expected a nonempty matrix, got shape (0, 0)")
     return _fill(EigenSystem, eigenvalues=w[::-1], eigenvectors=_phase(v[:, ::-1]))
 
 

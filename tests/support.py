@@ -548,6 +548,77 @@ def svg_path_coords(pts):
     return " L ".join(f"{x:.8g} {y:.8g}" for x, y in pts)
 
 
+def svg_document(shapes):
+    """The SVG document built whole in memory: the reference for the bytes ``svg_render`` writes.
+
+    Every shape's (x, y) rows are held and concatenated for the viewBox, and
+    every line is held until the document is joined and encoded.
+    """
+    if not shapes:
+        raise ValueError("nothing to render")
+    point_sets = []
+    for shape, style in shapes:
+        pts = shape.coords if isinstance(shape, cs.Preshape) else np.asarray(shape, complex)
+        point_sets.append((np.stack((pts.real, -pts.imag), axis=1), style))
+    allpts = np.concatenate([p for p, _ in point_sets])
+    lo = allpts.min(axis=0)
+    hi = allpts.max(axis=0)
+    span = hi - lo
+    margin = 0.05 * max(float(span[0]), float(span[1]), 1e-30)
+    origin = lo - margin
+    size = span + 2 * margin
+    diag = float(np.hypot(size[0], size[1]))
+    base_width = 0.004 * diag
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>\n',
+        f'<svg xmlns="http://www.w3.org/2000/svg" viewBox="{origin[0]:.8g} '
+        f'{origin[1]:.8g} {size[0]:.8g} {size[1]:.8g}">\n',
+    ]
+    for pts, style in point_sets:
+        coords = " L ".join(["%.8g %.8g" % (x, y) for x, y in pts.tolist()])
+        lines.append(
+            f'<path d="M {coords} Z" fill="none" stroke="{style.stroke}" '
+            f'stroke-width="{style.width * base_width:.8g}" '
+            f'stroke-opacity="{style.opacity:.8g}"/>\n'
+        )
+    lines.append("</svg>\n")
+    return "".join(lines).encode("utf-8")
+
+
+# ---------------------------------------------------------------------------
+# CSV writer references: each result file's text, built whole
+
+
+def contour_csv(contour):
+    """The text ``write_contour`` writes: one ``x,y`` line per vertex, 17 significant digits."""
+    lines = [f"{z.real:.17g},{z.imag:.17g}" for z in contour.points]
+    return "\n".join(lines) + "\n"
+
+
+def bootstrap_summary_csv(B, alpha, region):
+    """The text of ``bootstrap_summary.csv`` for a region drawn with ``--B`` and ``--alpha``."""
+    lines = [
+        f"# B={B} alpha={alpha:.10g} radius={region.radius:.17g}",
+        "resample,distance,included",
+    ]
+    for i, (d, inc) in enumerate(zip(region.distances, region.included)):
+        lines.append(f"{i},{d:.17g},{int(inc)}")
+    return "\n".join(lines) + "\n"
+
+
+def approx_report_csv(k_grid, len_errs, shape_sqs):
+    """The text of ``approx_report.csv`` for the arrays ``approximation_errors`` returns."""
+    rows = [
+        (k, float(np.mean(le)), float(np.std(le)), float(np.mean(sq)), float(np.std(sq)))
+        for k, le, sq in zip(k_grid, len_errs, shape_sqs)
+    ]
+    header = "k,mean_rel_len_err,sd_rel_len_err,mean_sq_shape_dist,sd_sq_shape_dist"
+    body = "\n".join(
+        f"{k},{m1:.10g},{s1:.10g},{m2:.10g},{s2:.10g}" for k, m1, s1, m2, s2 in rows
+    )
+    return header + "\n" + body + "\n"
+
+
 # ---------------------------------------------------------------------------
 # the unchecked constructor against the public ones
 

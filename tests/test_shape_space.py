@@ -287,6 +287,12 @@ class TestEigensystem:
         with pytest.raises(ValueError, match="^matrix has a non-finite entry$"):
             cs.eigensystem(bad)
 
+    def test_empty_matrix_rejected(self):
+        with pytest.raises(ValueError, match=r"^expected a nonempty matrix, got shape \(0, 0\)$"):
+            cs.eigensystem(np.zeros((0, 0)))
+        # the covariance rule it shares with eigensystem does not reject an empty form
+        assert cs.studentizing_variance(np.zeros(0), np.zeros((0, 0))) == 0.0
+
     def test_rank_r_system(self):
         # r <= k orthonormal columns; eigenvalues not listed are zero
         vecs = np.eye(5, dtype=complex)
