@@ -58,7 +58,7 @@ PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 
 # the most points a command may hold at once; traced peaks per point, 12 contours at
 # k = 20,000: approx's k-gon vertices (--repeats x contours x the largest k) 50 bytes;
-# the sample (contours x dimension) 25 in load_sample, 34 in plot, 66 in mean; and
+# the sample (contours x dimension) 25 in load_sample, 34 in plot, 49 in mean; and
 # bootstrap's resampled mean coordinates (--B x dimension) 33 at k = 5,000, 136 at k = 8
 MAX_HELD_POINTS = 10_000_000
 

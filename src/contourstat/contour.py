@@ -38,24 +38,23 @@ def _as_complex_vector(points) -> np.ndarray:
     return arr
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, copy=True)
-    out.flags.writeable = False
-    return out
-
-
 def _fill(value, **fields):
-    """Set the fields of a frozen value, arrays as read-only copies, and return it.
+    """Set the fields of a frozen value, its arrays read-only, and return it.
 
     ``value`` is an instance, from its ``__post_init__`` once the checks have
-    passed, or a value type, whose new instance skips them: library code does
-    that only for values it derives from checked ones by operations that keep
-    what the checks ensured.
+    passed, and gets read-only copies of its caller's arrays; or a value type,
+    whose new instance skips the checks and keeps the arrays it is handed,
+    made read-only in place.  Library code passes a type only for values it
+    derives from checked ones by operations that keep what the checks ensured,
+    and only with arrays that the call has just computed and holds nowhere else.
     """
-    if isinstance(value, type):
-        value = object.__new__(value)
+    copy = not isinstance(value, type)
+    value = value if copy else object.__new__(value)
     for name, val in fields.items():
-        object.__setattr__(value, name, _freeze(val) if isinstance(val, np.ndarray) else val)
+        if isinstance(val, np.ndarray):
+            val = np.array(val) if copy else val  # a copy keeps the caller's memory order
+            val.flags.writeable = False
+        object.__setattr__(value, name, val)
     return value
 
 

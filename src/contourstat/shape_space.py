@@ -34,7 +34,6 @@ from .contour import (
     ParamCurve,
     _cum_lengths,
     _fill,
-    _freeze,
     _interpolate,
     _require_polygons,
     _substream,
@@ -131,24 +130,24 @@ def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
     pts = points.points if isinstance(points, Contour) else np.asarray(points, dtype=np.complex128)
     if pts.ndim != 1 or len(pts) < 3:
         raise ValueError("need at least 3 ordered points")
-    return _fill(Preshape, coords=_preshape_rows(_unit_scaled(pts[None]))[0])
+    return _fill(Preshape, coords=_preshape_rows(_unit_scaled(pts)))
 
 
 def _preshape_rows(points: np.ndarray) -> np.ndarray:
-    """Preshape coordinates of each row of points: the kernel of :func:`preshape`.
+    """Preshape coordinates of each row of points, or of one: the kernel of :func:`preshape`.
 
     The rows must be at unit scale, so that the norm can neither overflow nor
     underflow: callers holding raw coordinates apply :func:`_unit_scaled`
     first, which is exact.
     """
-    k = points.shape[1]
-    centered = points - points.sum(axis=1, keepdims=True) / k
+    k = points.shape[-1]
+    centered = points - points.sum(axis=-1, keepdims=True) / k
     # second pass kills roundoff from large offsets
-    centered = centered - centered.sum(axis=1, keepdims=True) / k
-    nrm = np.array([np.linalg.norm(row) for row in centered])
+    centered = centered - centered.sum(axis=-1, keepdims=True) / k
+    nrm = np.array([np.linalg.norm(row) for row in centered.reshape(-1, k)])
     if not (nrm > 0.0).all():
         raise DegenerateContourError("all points are equal; no shape after centering")
-    return centered / nrm[:, None]
+    return centered / nrm.reshape(points.shape[:-1] + (1,))
 
 
 def _require_same_dimension(a: Preshape | EigenSystem, b: Preshape | EigenSystem) -> None:
@@ -239,14 +238,15 @@ def eigensystem(m: np.ndarray) -> EigenSystem:
     w, v = np.linalg.eigh(_hermitian(m, "matrix"))
     if not len(w):
         raise ValueError("expected a nonempty matrix, got shape (0, 0)")
-    return _fill(EigenSystem, eigenvalues=w[::-1], eigenvectors=_phase(v[:, ::-1]))
+    # descending, in eigh's memory order: sums and products over reversed views round otherwise
+    return _fill(EigenSystem, eigenvalues=w[::-1].copy(), eigenvectors=_phase(v[:, ::-1].copy()))
 
 
 def _phase(v: np.ndarray) -> np.ndarray:
-    """Rotate each column so that its largest-magnitude entry is real and positive."""
+    """Rotate each column, in place, so that its largest-magnitude entry is real and positive."""
     lead = abs(v).argmax(axis=0)
     pivots = v[lead, np.arange(v.shape[1])]
-    return v * (np.abs(pivots) / pivots)
+    return np.multiply(v, np.abs(pivots) / pivots, out=v)  # v * rotation's bits, in place
 
 
 def _require_gap(eigen: EigenSystem) -> None:
@@ -276,7 +276,7 @@ def extrinsic_mean(sample: Sequence[Preshape]) -> tuple[Preshape, EigenSystem]:
     # the top eigenvector is centered and unit-norm only to eigensolver
     # roundoff, which grows with n and k: re-center and renormalize it as
     # preshape() would, less the rescale that a unit vector does not need
-    return _fill(Preshape, coords=_preshape_rows(es.eigenvectors[None, :, 0])[0]), es
+    return _fill(Preshape, coords=_preshape_rows(es.eigenvectors[:, 0])), es
 
 
 def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.ndarray:
@@ -302,7 +302,9 @@ def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.n
     weighted = proj[:, 1:] * np.abs(proj[:, :1])
     gaps = eigen.eigenvalues[0] - eigen.eigenvalues[1:]
     cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (n * np.outer(gaps, gaps))
-    return _freeze((cov + cov.conj().T) / 2.0)
+    cov = (cov + cov.conj().T) / 2.0
+    cov.flags.writeable = False
+    return cov
 
 
 def approximation_errors(

@@ -20,6 +20,8 @@ _HEADER = (
     '<?xml version="1.0" encoding="UTF-8"?>\n'
     '<svg xmlns="http://www.w3.org/2000/svg" viewBox="%.8g %.8g %.8g %.8g">\n'
 )
+_TAIL = ' Z" fill="none" stroke="{}" stroke-width="{:.8g}" stroke-opacity="{:.8g}"/>\n'
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 
 @dataclass(frozen=True)
@@ -58,9 +60,8 @@ def svg_render(shapes: Sequence[tuple[Preshape | np.ndarray, PathStyle]], path) 
     size = span + 2 * margin
     base_width = 0.004 * float(np.hypot(size[0], size[1]))
     tails = [
-        f' Z" fill="none" stroke="{style.stroke}" stroke-width="{style.width * base_width:.8g}" '
-        f'stroke-opacity="{style.opacity:.8g}"/>\n'.encode()
-        for _, style in shapes
+        _TAIL.format(str(s.stroke).translate(_ESCAPES), s.width * base_width, s.opacity).encode()
+        for _, s in shapes
     ]
     with open(path, "wb") as out:
         out.write((_HEADER % (*origin, *size)).encode())

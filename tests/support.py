@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import contourstat as cs
-from contourstat.contour import _arc_centroid, _fill, _freeze, _require_finite, _signed_area
+from contourstat.contour import _arc_centroid, _fill, _require_finite, _signed_area
 from contourstat.ingestion import MERGE_TOL
 from contourstat.shape_space import _approx_rows
 
@@ -108,7 +108,7 @@ class VWMatrix:
         tr = np.trace(m)
         if abs(tr - 1.0) > 1e-10:
             raise ValueError(f"matrix trace must be 1, got {tr!r}")
-        object.__setattr__(self, "entries", _freeze(m))
+        _fill(self, entries=m)
 
 
 def vw_embed(shape):
@@ -577,12 +577,20 @@ def svg_document(shapes):
     for pts, style in point_sets:
         coords = " L ".join(["%.8g %.8g" % (x, y) for x, y in pts.tolist()])
         lines.append(
-            f'<path d="M {coords} Z" fill="none" stroke="{style.stroke}" '
+            f'<path d="M {coords} Z" fill="none" stroke="{_escaped(style.stroke)}" '
             f'stroke-width="{style.width * base_width:.8g}" '
             f'stroke-opacity="{style.opacity:.8g}"/>\n'
         )
     lines.append("</svg>\n")
     return "".join(lines).encode("utf-8")
+
+
+def _escaped(stroke):
+    """A stroke as a double-quoted XML attribute value: only &, <, > and " replaced."""
+    text = str(stroke)
+    for char, entity in (("&", "&amp;"), ("<", "&lt;"), (">", "&gt;"), ('"', "&quot;")):
+        text = text.replace(char, entity)
+    return text
 
 
 # ---------------------------------------------------------------------------

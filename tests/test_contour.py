@@ -568,6 +568,47 @@ class TestDerivedValuesAreFrozen:
         assert_frozen_and_unaliased(union_of(monkeypatch, [a]), a.times)
 
 
+def checked_values():
+    """Each public value type that takes arrays, with arrays a caller holds, in the dtype kept."""
+    g = cs.preshape(wobbly_points(6))
+    return {
+        "Contour": (cs.Contour, {"points": wobbly_points(20)}),
+        "ParamCurve": (cs.ParamCurve, {"vertices": ngon(7)}),
+        "StoppingTimes": (cs.StoppingTimes, {"times": np.array([0.0, 0.25, 0.5])}),
+        "Preshape": (cs.Preshape, {"coords": np.array(g.coords)}),
+        "EigenSystem": (
+            cs.EigenSystem,
+            {"eigenvalues": np.array([0.7, 0.3]), "eigenvectors": np.eye(4, 2, dtype=complex)},
+        ),
+        "BootstrapRegion": (
+            cs.BootstrapRegion,
+            {
+                "sample_mean": g,
+                "boot_means": (g,) * 50,
+                "distances": np.linspace(0.0, 1.0, 50),
+                "alpha": 0.1,
+            },
+        ),
+    }
+
+
+class TestCheckedValuesCopy:
+    """A value built by its public constructor has read-only copies of its caller's arrays."""
+
+    @pytest.mark.parametrize("name", list(checked_values()))
+    def test_frozen_unaliased_and_unchanged_by_later_writes(self, name):
+        value_type, fields = checked_values()[name]
+        given = [val for val in fields.values() if isinstance(val, np.ndarray)]
+        value = value_type(**fields)
+        assert all(arr.flags.writeable for arr in given)
+        assert_frozen_and_unaliased(value, *given)
+        held = {key: np.array(val) for key, val in vars(value).items() if type(val) is np.ndarray}
+        for arr in given:
+            arr[...] = 0
+        for key, want in held.items():
+            assert np.array_equal(getattr(value, key), want), key
+
+
 class TestPublicConstructorsAgree:
     """The fixture that checks the unchecked path fails where a public constructor disagrees."""
 

@@ -277,6 +277,20 @@ class TestEigensystem:
             recon = (es.eigenvectors * es.eigenvalues) @ es.eigenvectors.conj().T
             assert np.max(np.abs(a - recon)) < 1e-8
 
+    def test_leaves_the_callers_matrix_writable_and_unchanged(self):
+        rng = np.random.default_rng(22)
+        m = cs.mean_matrix([random_preshape(6, rng) for _ in range(8)])
+        want = m.copy()
+        es = cs.eigensystem(m)
+        assert m.flags.writeable and np.array_equal(m, want)
+        assert_frozen_and_unaliased(es, m)
+
+    def test_pairs_in_their_own_c_ordered_arrays(self):
+        # not reversed views of eigh's arrays: sums and products over those round otherwise
+        rng = np.random.default_rng(23)
+        es = cs.eigensystem(cs.mean_matrix([random_preshape(5, rng) for _ in range(3)]))
+        assert es.eigenvalues.flags.c_contiguous and es.eigenvectors.flags.c_contiguous
+
     def test_non_hermitian_rejected(self):
         bad = np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)
         with pytest.raises(ValueError):

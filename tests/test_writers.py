@@ -2,11 +2,13 @@
 
 ``svg_render``, ``write_contour`` and the CSV writers of ``contourstat
 bootstrap`` and ``contourstat approx`` write their files piece by piece; the
-references in ``support`` build the whole text first.  This module needs
+references in ``support`` build the whole text first.  The traced peaks of
+whole ``mean`` and ``plot`` commands are pinned here too.  This module needs
 numpy alone.
 """
 
 import tracemalloc
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -93,6 +95,33 @@ class TestSvgRender:
             cs.svg_render(overlay, f)
         assert not f.exists()
 
+    @pytest.mark.parametrize(
+        "stroke",
+        ['a&b"', '#fff" onload="x', "<&>\"'", "&amp;"],
+    )
+    def test_same_bytes_with_attribute_characters(self, tmp_path, stroke):
+        overlay = [(np.array([0j, 1 + 0j, 1j]), cs.PathStyle(stroke=stroke))]
+        f = tmp_path / "s.svg"
+        cs.svg_render(overlay, f)
+        assert f.read_bytes() == svg_document(overlay)
+
+    @pytest.mark.parametrize("stroke", ['a&b"', '#fff" onload="x'])
+    def test_stroke_reads_back_as_given(self, tmp_path, stroke):
+        f = tmp_path / "s.svg"
+        cs.svg_render([(np.array([0j, 1 + 0j, 1j]), cs.PathStyle(stroke=stroke))], f)
+        (path,) = ElementTree.parse(f).getroot()
+        assert path.get("stroke") == stroke
+        assert sorted(path.keys()) == ["d", "fill", "stroke", "stroke-opacity", "stroke-width"]
+
+    @pytest.mark.parametrize(
+        "stroke",
+        [cli.MEAN_STYLE.stroke, cli.BOOT_STYLE.stroke, cli.PLAIN_STYLE.stroke, "#é0ff00", "it's"],
+    )
+    def test_stroke_without_those_characters_is_written_as_is(self, tmp_path, stroke):
+        f = tmp_path / "s.svg"
+        cs.svg_render([(np.array([0j, 1 + 0j, 1j]), cs.PathStyle(stroke=stroke))], f)
+        assert f' stroke="{stroke}" '.encode() in f.read_bytes()
+
     def test_peak_memory_per_rendered_coordinate(self, tmp_path):
         # at most one path's text is held: 20 paths of 5,000 points peak at a
         # small multiple of one path, not at the 29 bytes per point of the file
@@ -173,6 +202,28 @@ class TestCsvWriters:
         (len_errs, shape_sqs), = arrays
         want = approx_report_csv((8, 12, 30), len_errs, shape_sqs)
         assert (out / "approx_report.csv").read_bytes() == want.encode("ascii")
+
+
+class TestCommandPeakMemory:
+    """Whole commands traced against the ~25 bytes per sample coordinate of ``MAX_HELD_POINTS``.
+
+    12 contours at k = 20,000: 240,000 sample coordinates.
+    """
+
+    @pytest.mark.parametrize("command, bound", [("mean", 55), ("plot", 40)])
+    def test_peak_per_sample_coordinate(self, tmp_path, command, bound):
+        manifest = write_sample(tmp_path, n=12)
+        common = [command, "--manifest", str(manifest), "--out", str(tmp_path / "out")]
+        # a small run first, so that modules numpy loads on first use are not counted
+        assert cli.main([*common, "--k", "30"]) == 0
+        tracemalloc.start()
+        try:
+            assert cli.main([*common, "--k", "20000"]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        coordinates = 12 * 20_000
+        assert peak <= bound * coordinates, peak / coordinates
 
 
 def write_sample(directory, n=6):
