@@ -82,8 +82,8 @@ def resample_mean(sample: Sequence[Preshape], rng: np.random.Generator) -> Presh
     """Extrinsic mean of one bootstrap resample (n draws with replacement).
 
     A degenerate resample whose mean matrix has a focal spectrum is retried
-    with the next draws from ``rng``; after 100 retries the focal error is
-    logged and re-raised.
+    with the next draws from ``rng``, each retry logged at DEBUG level; after
+    100 retries the focal error is raised.
     """
     n = len(sample)
     if n == 0:
@@ -95,7 +95,6 @@ def resample_mean(sample: Sequence[Preshape], rng: np.random.Generator) -> Presh
         except FocalDistributionError as err:
             last = err
             logger.debug("focal resample on attempt %d: %s", attempt + 1, err)
-    logger.error("resample_mean gave up after %d retries: %s", _MAX_RETRIES, last)
     raise last
 
 

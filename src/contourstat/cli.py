@@ -139,7 +139,7 @@ def _check_options(args: argparse.Namespace) -> None:
     if args.command == "test" and args.delta is None and not args.solve_delta:
         raise ContourStatError("test needs --delta unless --solve-delta is given")
     if args.command == "test" and args.delta is not None and not args.delta > 0:
-        raise ContourStatError("--delta must be positive")
+        raise ContourStatError(f"--delta must be positive, got {args.delta:g}")
     if "alpha" in args and not 0.0 < args.alpha < 1.0:
         raise ContourStatError(f"--alpha must lie in (0, 1), got {args.alpha:g}")
     if "B" in args and args.B < 50:

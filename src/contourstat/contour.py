@@ -212,9 +212,6 @@ class StoppingTimes:
     def k(self) -> int:
         return len(self.times)
 
-    def __len__(self) -> int:
-        return len(self.times)
-
 
 def canonicalize(contour: Contour | ParamCurve) -> ParamCurve:
     """Normalize orientation and start point, and parameterize by arclength.

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -180,8 +181,6 @@ def _read_mask(path: Path) -> Contour:
     pixels = _trace_boundary(mask)
     if pixels is None:
         raise ParseError(path, None, "boundary tracing did not terminate; mask is malformed")
-    if len(pixels) < 3:
-        raise ParseError(path, None, f"mask boundary has only {len(pixels)} pixels")
     height = mask.shape[0]
     pts = np.array([complex(c, height - 1 - r) for r, c in pixels])
     # traversal direction depends on the tracer; normalize to counterclockwise,
@@ -418,9 +417,8 @@ class SampleManifest:
     def __post_init__(self):
         if not self.entries:
             raise ManifestError("manifest lists no contours")
-        ids = [e[0] for e in self.entries]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({i for i in ids if ids.count(i) > 1})
+        dupes = sorted(i for i, count in Counter(e[0] for e in self.entries).items() if count > 1)
+        if dupes:
             raise ManifestError(f"duplicate contour ids: {', '.join(dupes)}")
         if self.strategy not in ("shared-times", "union-of-times"):
             raise ManifestError(f"unknown correspondence strategy: {self.strategy!r}")
@@ -429,7 +427,7 @@ class SampleManifest:
         if self.k > MAX_K:
             raise ManifestError(f"k must be <= {MAX_K}, got {self.k}")
         if self.seed < 0:
-            raise ManifestError("seed must be a nonnegative integer")
+            raise ManifestError(f"seed must be a nonnegative integer, got {self.seed}")
 
 
 def parse_manifest(path) -> SampleManifest:

@@ -32,6 +32,7 @@ import numpy as np
 from .contour import (
     Contour,
     ParamCurve,
+    _as_complex_vector,
     _cum_lengths,
     _fill,
     _interpolate,
@@ -73,8 +74,8 @@ class Preshape:
     coords: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.coords, dtype=np.complex128)
-        if c.ndim != 1 or len(c) < 3:
+        c = _as_complex_vector(self.coords)
+        if len(c) < 3:
             raise ValueError("preshape coordinates must be a complex vector of length >= 3")
         if abs(c.sum()) > 1e-10:
             raise ValueError(f"preshape is not centered: |sum| = {abs(c.sum()):.3e}")
@@ -127,8 +128,8 @@ class EigenSystem:
 
 def preshape(points: Contour | np.ndarray | Sequence[complex]) -> Preshape:
     """Center and normalize a point configuration, preserving vertex order."""
-    pts = points.points if isinstance(points, Contour) else np.asarray(points, dtype=np.complex128)
-    if pts.ndim != 1 or len(pts) < 3:
+    pts = points.points if isinstance(points, Contour) else _as_complex_vector(points)
+    if len(pts) < 3:
         raise ValueError("need at least 3 ordered points")
     return _fill(Preshape, coords=_preshape_rows(_unit_scaled(pts)))
 
@@ -294,14 +295,12 @@ def extrinsic_covariance(sample: Sequence[Preshape], eigen: EigenSystem) -> np.n
     smaller than the top gap.
     """
     gam = _stack(sample)
-    n, k = gam.shape
-    if k != eigen.dimension:
-        raise ValueError(f"sample dimension {k} does not match eigensystem {eigen.dimension}")
+    _require_same_dimension(sample[0], eigen)
     _require_gap(eigen)
     proj = gam @ eigen.eigenvectors.conj()  # proj[i, a] = <e_a, gamma_i>
     weighted = proj[:, 1:] * np.abs(proj[:, :1])
     gaps = eigen.eigenvalues[0] - eigen.eigenvalues[1:]
-    cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (n * np.outer(gaps, gaps))
+    cov = np.einsum("ra,rb->ab", weighted, weighted.conj()) / (len(gam) * np.outer(gaps, gaps))
     cov = (cov + cov.conj().T) / 2.0
     cov.flags.writeable = False
     return cov

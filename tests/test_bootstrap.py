@@ -301,6 +301,13 @@ class TestAlignRotation:
         g, h = random_preshape(6, rng), random_preshape(6, rng)
         assert_frozen_and_unaliased(cs.align_rotation(h, g), h.coords, g.coords)
 
+    def test_orthogonal_shapes_return_the_shape_itself(self):
+        # <shape, reference> is exactly 0: every rotation is as good as none
+        a = cs.Preshape(np.array([1, -1, 0, 0]) / math.sqrt(2))
+        b = cs.Preshape(np.array([0, 0, 1j, -1j]) / math.sqrt(2))
+        assert np.vdot(b.coords, a.coords) == 0
+        assert cs.align_rotation(b, a) is b
+
     def test_dimension_mismatch(self):
         rng = np.random.default_rng(21)
         with pytest.raises(ValueError, match=r"^dimension mismatch: 7 vs 6$"):

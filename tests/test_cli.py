@@ -265,6 +265,11 @@ class TestBadOptions:
             (["approx", "--k-grid", "1000001"], "--k-grid values must be <= 1000000, got 1000001"),
             (["mean", "--k", str(10**21)], f"k must be <= 1000000, got {10**21}"),
             (["plot", "--k", "1000001"], "k must be <= 1000000, got 1000001"),
+            (["mean", "--k", "2"], "k must be >= 3, got 2"),
+            (["plot", "--seed", "-1"], "seed must be a nonnegative integer, got -1"),
+            (["test", "--delta", "0", "--m0", "c0.csv"], "--delta must be positive, got 0"),
+            (["test", "--delta", "nan", "--m0", "c0.csv"], "--delta must be positive, got nan"),
+            (["test", "--delta", "-0.5", "--m0", "c0.csv"], "--delta must be positive, got -0.5"),
         ],
     )
     def test_exit_two_with_message(self, sample_dir, capsys, argv, message):
@@ -969,6 +974,15 @@ class TestApproxRowsOracle:
         curve = cs.canonicalize(cs.Contour(wobbly_points(K, amp3=amp3, amp7=amp7, phase=phase)))
         k = data.draw(st.integers(3, K + 1), label="k")
         assert_rows_equal_oracle(curve, k, range(seed, seed + R))
+
+    def test_kgon_whose_arclength_stalls_rejected(self):
+        # two times 1e-12 either side of a needle's apex: the k-gon's edge
+        # between them is far below the rounding of the length before it
+        curve = cs.ParamCurve([0, 1, 0.5 + 1e6j])
+        apex = curve.cum_lengths[2] / curve.total_length
+        message = "^k-gon arclength is not strictly increasing$"
+        with pytest.raises(cs.DegenerateContourError, match=message):
+            approx_rows(curve, [[0.0, apex - 1e-12, apex + 1e-12]])
 
     def test_k_equal_to_vertex_count(self):
         curve = cs.canonicalize(cs.Contour(wobbly_points(30)))

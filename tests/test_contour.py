@@ -69,6 +69,18 @@ class TestContourType:
                     with pytest.raises(cs.DegenerateContourError, match=expected):
                         _require_polygons(rows)
 
+    @pytest.mark.parametrize(
+        "points, error, message",
+        [
+            (np.zeros((2, 3)), ValueError, r"expected a 1-D point sequence, got shape \(2, 3\)"),
+            ([], cs.DegenerateContourError, "contour needs >= 3 points, got 0"),
+        ],
+        ids=["2-D", "empty"],
+    )
+    def test_rejects_what_is_not_a_point_list(self, points, error, message):
+        with pytest.raises(error, match=f"^{message}$"):
+            cs.Contour(points)
+
     def test_degenerate_three_gon_with_repeated_point_rejected(self):
         with pytest.raises(cs.DegenerateContourError):
             cs.Contour([1 + 0j, 2 + 0j, 2 + 0j])
@@ -650,3 +662,8 @@ class TestStoppingTimesType:
     def test_below_one(self):
         with pytest.raises(ValueError):
             cs.StoppingTimes([0.0, 0.5, 1.0])
+
+    @pytest.mark.parametrize("times", [np.zeros((1, 3)), []], ids=["2-D", "empty"])
+    def test_nonempty_1d(self, times):
+        with pytest.raises(ValueError, match="^times must be a nonempty 1-D sequence$"):
+            cs.StoppingTimes(times)

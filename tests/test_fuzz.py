@@ -14,13 +14,24 @@ an error, and every value the library builds unchecked is built by its
 public constructor too.  Each command succeeds on the unmutated files; on a
 mutated one, exit 0 leaves stderr empty, and exit 2 leaves exactly one line
 on it, starting ``error: ``.
+
+The same rule is checked by name on the bad inputs that the mutations do not
+reliably make: masks with one or two pixels, P5 files with a maxval or a
+sample out of range, a missing manifest, duplicate contour ids, and a
+bootstrap whose resamples are all focal until it gives up.
 """
 
+import os
+import subprocess
+import sys
+import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import contourstat as cs
 from contourstat.cli import main
 from support import public_constructors_agree, wobbly_points  # noqa: F401 (a fixture)
 
@@ -146,3 +157,101 @@ def test_mutated_inputs_exit_zero_or_two(tmp_path, capsys):
 @pytest.mark.usefixtures("public_constructors_agree")
 def test_mutated_inputs_of_the_other_commands_exit_zero_or_two(tmp_path, capsys):
     fuzz(tmp_path, capsys, every_file(), OTHER_COMMANDS, 150, 2025)
+
+
+def pixels_pgm(*pixels) -> bytes:
+    """A 5 x 5 P5 mask whose foreground is ``pixels``, (row, column) pairs."""
+    mask = np.zeros((5, 5), dtype=np.uint8)
+    for pixel in pixels:
+        mask[pixel] = 255
+    return b"P5\n5 5\n255\n" + mask.tobytes()
+
+
+# (file bytes of the one contour, the problem that the error line names after its path)
+BAD_CONTOURS = {
+    "one-pixel-mask": (pixels_pgm((2, 2)), ": contour needs >= 3 points, got 1"),
+    "two-pixel-mask": (pixels_pgm((2, 2), (2, 3)), ": contour needs >= 3 points, got 2"),
+    "diagonal-pixels": (pixels_pgm((2, 2), (3, 3)), ": contour needs >= 3 points, got 2"),
+    "p5-maxval-65536": (b"P5\n3 3\n65536\n" + bytes(18), ":3: PGM maxval too large: 65536"),
+    "p5-sample-above-maxval": (
+        b"P5\n3 3\n100\n" + bytes([0, 0, 0, 0, 200, 0, 0, 0, 0]),
+        ": PGM sample exceeds maxval 100",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_CONTOURS))
+def test_bad_mask_exits_two_naming_the_problem_on_one_line(tmp_path, capsys, name):
+    data, problem = BAD_CONTOURS[name]
+    mask = tmp_path / "m.pgm"
+    mask.write_bytes(data)
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("contour a m.pgm\n")
+    assert main(["mean", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: entry 'a': {mask.resolve()}{problem}\n"
+
+
+def test_missing_manifest_exits_two_on_one_line(tmp_path, capsys):
+    missing = tmp_path / "missing.manifest"
+    assert main(["mean", "--manifest", str(missing), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot read manifest {missing}: [Errno 2] No such file or directory: '{missing}'\n"
+    )
+
+
+def test_duplicate_ids_exit_two_on_one_line(tmp_path, capsys):
+    manifest = tmp_path / "m.manifest"
+    manifest.write_text("contour b c.csv\ncontour a c.csv\ncontour b c.csv\ncontour a c.csv\n")
+    assert main(["mean", "--manifest", str(manifest), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: duplicate contour ids: a, b\n"
+
+
+def test_duplicate_ids_among_many_found_in_linear_time():
+    ids = [f"c{i}" for i in range(50_000)]
+    ids[123], ids[40_000] = "c7", "c39999"
+    entries = tuple((i, "c.csv") for i in ids)
+    start = time.perf_counter()
+    with pytest.raises(cs.ManifestError) as info:
+        cs.SampleManifest(entries=entries)
+    assert time.perf_counter() - start < 2.0
+    assert str(info.value) == "duplicate contour ids: c39999, c7"
+
+
+# the CLI with every resample focal: the full sample's mean is the real one,
+# every later call of extrinsic_mean raises, so resample 0 gives up
+GIVE_UP = """
+import sys
+from contourstat import bootstrap
+from contourstat.cli import main
+from contourstat.errors import FocalDistributionError
+
+real = bootstrap.extrinsic_mean
+calls = []
+
+def extrinsic_mean(sample):
+    calls.append(len(sample))
+    if len(calls) > 1:
+        raise FocalDistributionError("every resample is focal")
+    return real(sample)
+
+bootstrap.extrinsic_mean = extrinsic_mean
+raise SystemExit(main(sys.argv[1:]))
+"""
+
+
+def test_bootstrap_that_gives_up_exits_two_on_one_line(tmp_path):
+    for name, data in pristine_files().items():
+        (tmp_path / name).write_bytes(data)
+    env = dict(os.environ)
+    src = str(Path(cs.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["bootstrap", "--B", "50", "--manifest", "sample.manifest", "--out", "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", GIVE_UP, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: every resample is focal\n")

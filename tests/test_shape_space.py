@@ -59,6 +59,20 @@ class TestPreshape:
         with pytest.raises(cs.DegenerateContourError):
             cs.preshape([2 + 1j, 2 + 1j, 2 + 1j, 2 + 1j])
 
+    @pytest.mark.parametrize(
+        "build, points, message",
+        [
+            (cs.Preshape, np.zeros((2, 3)), r"expected a 1-D point sequence, got shape \(2, 3\)"),
+            (cs.Preshape, [0.5**0.5, -(0.5**0.5)], "preshape coordinates must be a complex vector of length >= 3"),
+            (cs.preshape, np.zeros((2, 3)), r"expected a 1-D point sequence, got shape \(2, 3\)"),
+            (cs.preshape, [0, 1], "need at least 3 ordered points"),
+        ],
+        ids=["Preshape-2-D", "Preshape-2-points", "preshape-2-D", "preshape-2-points"],
+    )
+    def test_rejects_what_is_not_three_or_more_points(self, build, points, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build(points)
+
     def test_type_validates_centering_and_norm(self):
         with pytest.raises(ValueError):
             cs.Preshape(np.array([1.0, 0, 0]))  # not centered
@@ -317,6 +331,18 @@ class TestEigensystem:
         for w, v in (([1.0, 0.0], vecs[:, :1]), ([], vecs[:, :0]), ([0.2] * 6, np.ones((5, 6)))):
             with pytest.raises(ValueError, match="inconsistent shapes"):
                 cs.EigenSystem(np.array(w), v)
+
+    @pytest.mark.parametrize(
+        "w, v, message",
+        [
+            ([0.3, 0.7], np.eye(3)[:, :2], "eigenvalues must be in descending order"),
+            ([0.7, 0.3], np.array([[1, 1], [0, 1], [0, 0]]), "eigenvectors are not orthonormal within 1e-10"),
+        ],
+        ids=["ascending", "not-orthonormal"],
+    )
+    def test_rejects_what_is_not_a_descending_orthonormal_system(self, w, v, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cs.EigenSystem(np.array(w), v)
 
 
 class TestExtrinsicMean:
@@ -617,6 +643,12 @@ class TestExtrinsicCovariance:
         es = cs.eigensystem(cs.mean_matrix([a, b]))
         with pytest.raises(cs.FocalDistributionError):
             cs.extrinsic_covariance([a, b], es)
+
+    def test_dimension_mismatch_rejected(self):
+        rng = np.random.default_rng(38)
+        _, es = cs.extrinsic_mean([random_preshape(6, rng) for _ in range(4)])
+        with pytest.raises(ValueError, match="^dimension mismatch: 5 vs 6$"):
+            cs.extrinsic_covariance([random_preshape(5, rng) for _ in range(4)], es)
 
 
 class TestSpectralGapCoefficients:
