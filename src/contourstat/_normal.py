@@ -146,18 +146,10 @@ def _polevl(x: float, coef: tuple[float, ...]) -> float:
     return ans
 
 
-def _p1evl(x: float, coef: tuple[float, ...]) -> float:
-    """As ``_polevl`` with an implied leading coefficient 1."""
-    ans = x + coef[0]
-    for c in coef[1:]:
-        ans = ans * x + c
-    return ans
-
-
 def _erf(x: float) -> float:
     """erf for |x| <= 1, the only range ``ndtr`` and ``_erfc`` call it on."""
     z = x * x
-    return x * _polevl(z, _T) / _p1evl(z, _U)
+    return x * _polevl(z, _T) / _polevl(z, (1.0, *_U))
 
 
 def _erfc(a: float) -> float:
@@ -169,9 +161,9 @@ def _erfc(a: float) -> float:
         return 0.0
     z = math.exp(z)
     if a < 8.0:
-        p, q = _polevl(a, _P), _p1evl(a, _Q)
+        p, q = _polevl(a, _P), _polevl(a, (1.0, *_Q))
     else:
-        p, q = _polevl(a, _R), _p1evl(a, _S)
+        p, q = _polevl(a, _R), _polevl(a, (1.0, *_S))
     return (z * p) / q
 
 
@@ -198,14 +190,14 @@ def ndtri(p: float) -> float:
     if y > _EXP_M2:
         y = y - 0.5
         y2 = y * y
-        x = y + y * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))
+        x = y + y * (y2 * _polevl(y2, _P0) / _polevl(y2, (1.0, *_Q0)))
         return x * _S2PI
     x = math.sqrt(-2.0 * math.log(y))
     x0 = x - math.log(x) / x
     z = 1.0 / x
     if x < 8.0:
-        x1 = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+        x1 = z * _polevl(z, _P1) / _polevl(z, (1.0, *_Q1))
     else:
-        x1 = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+        x1 = z * _polevl(z, _P2) / _polevl(z, (1.0, *_Q2))
     x = x0 - x1
     return x if upper else -x

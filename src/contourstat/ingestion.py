@@ -179,8 +179,6 @@ def _read_mask(path: Path) -> Contour:
     if count > 1:
         raise ParseError(path, None, f"mask has {count} connected components; expected exactly 1")
     pixels = _trace_boundary(mask)
-    if pixels is None:
-        raise ParseError(path, None, "boundary tracing did not terminate; mask is malformed")
     height = mask.shape[0]
     pts = np.array([complex(c, height - 1 - r) for r, c in pixels])
     # traversal direction depends on the tracer; normalize to counterclockwise,
@@ -326,7 +324,7 @@ def _count_components(mask: np.ndarray) -> int:
     width = cols + 1
     padded = np.zeros((rows, width), dtype=np.int8)
     padded[:, :cols] = mask
-    step = np.diff(padded.ravel(), prepend=0)
+    step = np.diff(padded.ravel(), prepend=np.int8(0))
     starts = np.flatnonzero(step == 1)
     ends = np.flatnonzero(step == -1)
     lo = np.searchsorted(ends, starts + width, side="left")
@@ -354,35 +352,40 @@ def _count_components(mask: np.ndarray) -> int:
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
 
 
-def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]] | None:
-    """Moore-neighbor boundary trace, or None if it does not close within its step limit.
+def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
+    """Moore-neighbor boundary trace of the first foreground pixel's component.
 
-    Starts at the top-most then left-most foreground pixel, entered from the
-    west (guaranteed background there).  Stops when the trace is at the start
-    pixel and its next step goes to the trace's second pixel (the
-    boundary-following stop of Gonzalez & Woods).  Where Jacob's criterion
-    (re-entering the start pixel from the west) holds, this stop fires one
-    step later at the same pixel and closes the same cycle; unlike Jacob's, it
-    also fires at the tip of a one-pixel-wide spur, which is never re-entered
-    from the west.  The mask is padded with one background pixel on every
-    side and probed by flat index, so no probe needs a bounds check.
+    The boolean mask must have a foreground pixel; the top-most then left-most
+    starts, entered from the west.  The trace stops at the start pixel when its
+    next step goes to the second pixel (Gonzalez & Woods), which always happens:
+    1. After the first step, the backtrack is the ring cell scanned just before
+       the pixel, so 4-adjacent to it: a state is a (foreground pixel,
+       background 4-neighbour), at most 4 per pixel.
+    2. A state fixes the pixel before it: of the two cells beside the edge
+       (backtrack, pixel) on the scanned side, the one diagonal to the pixel
+       if foreground, else the other.  Of that pixel's candidate backtracks,
+       only the first of a run of background 4-neighbours has a foreground
+       predecessor, so two states after the first never step to one state.
+    3. So the states from the second on form one cycle, at most 4 per boundary
+       pixel; the state before the second is at the start pixel and steps to
+       the second pixel, where the stop fires.  The start state can lie off the
+       cycle (a two-pixel mask), so Jacob's criterion, re-entering the start
+       pixel from the west, can fail: it does at a one-pixel-wide spur's tip.
     """
     rows, cols = mask.shape
     width = cols + 2
     padded = np.zeros((rows + 2, width), dtype=np.uint8)
     padded[1:-1, 1:-1] = mask
-    cells = padded.tobytes()
+    cells = padded.tobytes()  # probed by flat index: the background border needs no bounds check
     offsets = [dr * width + dc for dr, dc in _MOORE]
     direction = {d: i for i, d in enumerate(offsets)}
     ring = offsets * 2  # ring[i] == offsets[i % 8] for i < 16
-    fg_rows, fg_cols = np.nonzero(mask)
-    r0 = int(fg_rows.min())
-    start = (r0 + 1) * width + int(fg_cols[fg_rows == r0].min()) + 1
+    r0, c0 = divmod(int(mask.argmax()), cols)
+    start = (r0 + 1) * width + c0 + 1
 
     boundary = [start]
     cur, back = start, start - 1  # entered from the west
-    limit = 4 * len(fg_rows) + 8
-    for _ in range(limit):
+    while True:
         bi = direction[back - cur]
         for i in range(bi + 1, bi + 9):
             nxt = cur + ring[i]
@@ -396,8 +399,6 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]] | None:
             break
         cur = nxt
         boundary.append(cur)
-    else:
-        return None
     return [(i // width - 1, i % width - 1) for i in boundary]
 
 

@@ -321,6 +321,12 @@ def approximation_errors(
     Returns two (len(k_grid), repeats * len(curves)) arrays, each row in draw
     order: repeat-major, curve-minor.
     """
+    if len(curves) == 0 or len(k_grid) == 0:
+        raise ValueError(f"need curves and k values, got {len(curves)} and {len(k_grid)}")
+    if repeats < 1:
+        raise ValueError(f"need repeats >= 1, got {repeats}")
+    if min(k_grid) < 3:
+        raise ValueError(f"need k >= 3 stopping times, got {min(k_grid)}")
     refs = [(c.cum_lengths[:-1] / c.total_length, preshape(c.vertices).coords) for c in curves]
     rows = []
     for ki, k in enumerate(k_grid):
@@ -333,9 +339,9 @@ def approximation_errors(
             block = np.zeros((len(drawn), k))
             block[:, 1:] = _substream(seed, ki, rep).uniform(0.0, 1.0, size=(len(drawn), k - 1))
             block.sort(axis=1)
-            if k < 3 or not (np.diff(block, axis=1) > 0).all():
-                # k < 3 is refused and a repeated time (probability ~k^2 * 2^-53)
-                # redrawn by the per-curve draws that the block stands for
+            if not (np.diff(block, axis=1) > 0).all():
+                # a repeated time (probability ~k^2 * 2^-53) is redrawn by the
+                # per-curve draws that the block stands for
                 rng = _substream(seed, ki, rep)
                 block = [select_stopping_times(k, rng).times for _ in drawn]
             times[drawn, rep] = block

@@ -931,6 +931,28 @@ class TestApproximationErrors:
         assert keys.count((1, 1)) == 2  # the block and the redraw
         assert_errors_equal_oracle(curves, k_grid, repeats, seed, errors)
 
+    @pytest.mark.parametrize(
+        "n, k_grid, repeats, message",
+        [
+            (1, (), 2, "need curves and k values, got 1 and 0"),
+            (0, (5,), 2, "need curves and k values, got 0 and 1"),
+            (1, (5,), 0, "need repeats >= 1, got 0"),
+            (1, (5,), -1, "need repeats >= 1, got -1"),
+            (1, (5, 2), 2, "need k >= 3 stopping times, got 2"),
+            (1, (0,), 2, "need k >= 3 stopping times, got 0"),
+            (1, (-4, 5), 2, "need k >= 3 stopping times, got -4"),
+        ],
+        ids=["no-k", "no-curves", "repeats=0", "repeats=-1", "k=2", "k=0", "k<0"],
+    )
+    def test_rejects_inputs_before_any_draw(self, monkeypatch, n, k_grid, repeats, message):
+        def no_draw(*key):
+            raise AssertionError(f"drew substream {key}")
+
+        monkeypatch.setattr(shape_space, "_substream", no_draw)
+        curves = [cs.canonicalize(cs.Contour(wobbly_points(12)))] * n
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            cs.approximation_errors(curves, k_grid, repeats, 3)
+
     @pytest.mark.parametrize("scale", [1e200, 1e154, 1e-300])
     def test_scaled_curve_gives_the_errors_of_its_unit_twin(self, scale):
         # the squared coordinates of these curves overflow or underflow

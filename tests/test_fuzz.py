@@ -19,13 +19,22 @@ The same rule is checked by name on the bad inputs that the mutations do not
 reliably make: masks with one or two pixels, P5 files with a maxval or a
 sample out of range, a missing manifest, duplicate contour ids, and a
 bootstrap whose resamples are all focal until it gives up.
+
+Last, the Moore trace of every 4 x 4 mask closes within 4 steps per
+foreground pixel, and that of every one-component 3 x 4 and 4 x 3 mask walks
+the outer boundary, each under a deadline, so a trace that stopped closing
+fails the test instead of hanging it.  And reading a large P5 mask stays
+within a few bytes per pixel of traced memory.
 """
 
 import os
+import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 import warnings
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +42,13 @@ import pytest
 
 import contourstat as cs
 from contourstat.cli import main
-from support import public_constructors_agree, wobbly_points  # noqa: F401 (a fixture)
+from contourstat.ingestion import _trace_boundary
+from support import (  # noqa: F401 (public_constructors_agree is a fixture)
+    assert_outer_boundary_walk,
+    flood_fill_components,
+    public_constructors_agree,
+    wobbly_points,
+)
 
 
 def ellipse_mask(a: float, b: float) -> np.ndarray:
@@ -255,3 +270,66 @@ def test_bootstrap_that_gives_up_exits_two_on_one_line(tmp_path):
         timeout=120,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", "error: every resample is focal\n")
+
+
+@contextmanager
+def deadline(seconds):
+    """Fail the test if the block still runs after ``seconds`` (where POSIX timers exist)."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def every_mask(rows, cols):
+    """Every rows x cols boolean mask with a foreground pixel."""
+    codes = np.arange(1, 2 ** (rows * cols))
+    return ((codes[:, None] >> np.arange(rows * cols)) & 1).astype(bool).reshape(-1, rows, cols)
+
+
+def test_every_4x4_trace_closes_within_four_steps_per_pixel():
+    masks = every_mask(4, 4)
+    pixels = masks.sum(axis=(1, 2))
+    with deadline(10):
+        for mask, n in zip(masks, pixels):
+            assert len(_trace_boundary(mask)) <= 4 * n, mask.astype(int)
+
+
+def test_every_one_component_3x4_and_4x3_trace_walks_the_outer_boundary():
+    walked = 0
+    with deadline(10):
+        for mask in [*every_mask(3, 4), *every_mask(4, 3)]:
+            if flood_fill_components(mask) == 1:
+                assert_outer_boundary_walk(mask, _trace_boundary(mask))
+                walked += 1
+    assert walked == 5256
+
+
+def test_large_p5_mask_reads_within_eight_bytes_per_pixel(tmp_path):
+    # about 4: the file, the mask and the component count's two one-byte
+    # arrays (its padded mask and their run difference); 18 when that
+    # difference was int64 and the trace scanned the mask for its start
+    n = 2000
+    yy, xx = np.mgrid[0:n, 0:n]
+    mask = ((xx - 999.5) / 900) ** 2 + ((yy - 999.5) / 600) ** 2 <= 1.0
+    f = tmp_path / "big.pgm"
+    f.write_bytes(f"P5\n{n} {n}\n255\n".encode("ascii") + mask.astype(np.uint8).tobytes())
+    del yy, xx, mask
+    tracemalloc.start()
+    try:
+        contour = cs.read_contour(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(contour) > 1000
+    assert peak <= 8 * n * n, peak / (n * n)

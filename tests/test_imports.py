@@ -3,9 +3,11 @@
 scipy costs several times the rest of a command's import; the neighborhood
 test takes its normal CDF and quantile from ``contourstat._normal`` instead.
 Each check runs in a fresh interpreter, where ``sys.modules`` shows what was
-imported, and once more with scipy made unimportable.  This file imports
-neither scipy nor hypothesis, so it runs where only numpy and pytest are
-installed.
+imported, and once more with scipy made unimportable.  ``python -m
+contourstat``, the entry point that the benchmark times, is run too: its help
+names every command, and a missing manifest ends in exit code 2 and one error
+line.  This file imports neither scipy nor hypothesis, so it runs where only
+numpy and pytest are installed.
 """
 
 import json
@@ -67,17 +69,17 @@ def write_masks(tmp_path):
     return man
 
 
-def run_child(tmp_path, commands, *flags):
+def python(cwd, *argv):
+    """``python *argv`` in a fresh interpreter that imports this checkout's package."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-c", CHILD, json.dumps(commands), *flags],
-        capture_output=True,
-        text=True,
-        env=env,
-        cwd=tmp_path,
-        timeout=300,
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, cwd=cwd, timeout=300
     )
+
+
+def run_child(tmp_path, commands, *flags):
+    proc = python(tmp_path, "-c", CHILD, json.dumps(commands), *flags)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -122,6 +124,20 @@ def test_no_command_loads_scipy(tmp_path):
 def test_every_command_runs_with_scipy_unimportable(tmp_path):
     report = run_child(tmp_path, all_commands(tmp_path), "refuse")
     assert_every_step_succeeds_without_scipy(report)
+
+
+def test_module_entry_point_help_names_every_subcommand(tmp_path):
+    proc = python(tmp_path, "-m", "contourstat", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert "{approx,mean,test,bootstrap,plot}" in proc.stdout
+
+
+def test_module_entry_point_exits_two_on_one_error_line(tmp_path):
+    argv = ["plot", "--manifest", "missing.manifest", "--out", "out"]
+    proc = python(tmp_path, "-m", "contourstat", *argv)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stderr.endswith("\n") and proc.stdout == ""
 
 
 PUBLIC_NAMES = {
