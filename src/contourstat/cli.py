@@ -59,7 +59,8 @@ PLAIN_STYLE = PathStyle(stroke="#444444", width=1.0, opacity=0.8)
 # the most points a command may hold at once; traced peaks per point, 12 contours at
 # k = 20,000: approx's k-gon vertices (--repeats x contours x the largest k) 50 bytes;
 # the sample (contours x dimension) 25 in load_sample, 34 in plot, 49 in mean; and
-# bootstrap's resampled mean coordinates (--B x dimension) 33 at k = 5,000, 136 at k = 8
+# bootstrap's resampled mean coordinates (--B x dimension) 33 at k = 5,000, 136 at k = 8.
+# Uncounted: one contour beside the sample in the sample commands, every canonical curve in approx
 MAX_HELD_POINTS = 10_000_000
 
 
@@ -138,6 +139,8 @@ def _check_options(args: argparse.Namespace) -> None:
     """Reject bad option values before the manifest is read; parse --k-grid in place."""
     if args.command == "test" and args.delta is None and not args.solve_delta:
         raise ContourStatError("test needs --delta unless --solve-delta is given")
+    if args.command == "test" and args.delta is not None and args.solve_delta:
+        raise ContourStatError("test takes --delta or --solve-delta, not both")
     if args.command == "test" and args.delta is not None and not args.delta > 0:
         raise ContourStatError(f"--delta must be positive, got {args.delta:g}")
     if "alpha" in args and not 0.0 < args.alpha < 1.0:

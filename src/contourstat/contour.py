@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -315,25 +314,21 @@ def relative_length_error(reference_length: float, kgon: Contour) -> float:
     return (reference_length - float(_cum_lengths(kgon.points)[-1])) / reference_length
 
 
-def build_correspondence(
-    sample: Sequence[ParamCurve],
-    strategy: str,
-    k: int,
-    rng: np.random.Generator,
-) -> StoppingTimes:
-    """Choose the common evaluation times that put a sample in correspondence.
+def build_correspondence(n: int, strategy: str, k: int, rng: np.random.Generator) -> StoppingTimes:
+    """Choose the common evaluation times that put a sample of n curves in correspondence.
 
     ``shared-times`` draws one set of k fractions and applies it to every
     curve, so vertex j of one k-gon corresponds to vertex j of any other.
     ``union-of-times`` draws a set of k per curve and returns their sorted
     union; evaluating every curve at all union times preserves the
-    correspondence while each curve contributes its own draw.
+    correspondence while each curve contributes its own draw.  Only the
+    number of curves enters, so the times can be drawn before any is read.
     """
-    if len(sample) == 0:
-        raise ValueError("empty sample of curves")
+    if n < 1:
+        raise ValueError(f"need at least one curve, got {n}")
     if strategy == "shared-times":
         return select_stopping_times(k, rng)
     if strategy == "union-of-times":
-        merged = np.unique(np.concatenate([select_stopping_times(k, rng).times for _ in sample]))
+        merged = np.unique(np.concatenate([select_stopping_times(k, rng).times for _ in range(n)]))
         return _fill(StoppingTimes, times=merged)
     raise ValueError(f"unknown correspondence strategy: {strategy!r}")

@@ -441,53 +441,58 @@ def parse_manifest(path) -> SampleManifest:
     except UnicodeDecodeError as err:
         raise ManifestError(f"manifest {p} is not UTF-8 text: {err}") from err
     entries: list[tuple[str, str]] = []
-    settings = {}  # the directives the file sets; SampleManifest holds the defaults
+    settings = {}  # the directives the file sets, each once; SampleManifest holds the defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         fields = line.split()
         directive = fields[0]
+        if directive in settings:
+            raise ManifestError(f"{p}:{lineno}: repeated {directive} directive {raw!r}")
         if directive in ("seed", "k") and len(fields) == 2:
             try:
                 settings[directive] = int(fields[1])
             except ValueError:
                 raise ManifestError(f"{p}:{lineno}: bad {directive} {fields[1]!r}") from None
         elif directive == "correspondence" and len(fields) == 2:
-            settings["strategy"] = fields[1]
+            settings[directive] = fields[1]
         elif directive == "contour" and len(fields) == 3:
             entries.append((fields[1], str((p.parent / fields[2]).resolve())))
         else:
             raise ManifestError(f"{p}:{lineno}: unrecognized directive {raw!r}")
+    if "correspondence" in settings:
+        settings["strategy"] = settings.pop("correspondence")
     return SampleManifest(entries=tuple(entries), **settings)
 
 
 def load_sample(manifest: SampleManifest) -> tuple[list[Preshape], StoppingTimes]:
     """Read, canonicalize, evaluate, and preshape every contour in the manifest.
 
-    All contours are evaluated at one common set of stopping-time fractions
-    chosen per the manifest's correspondence strategy and seed, so the
-    returned preshapes share a dimension and a vertex correspondence.  Any
-    per-contour failure, in reading it or in evaluating it at the stopping
-    times, aborts with the offending entry id.
+    The stopping-time fractions are drawn first, from the number of entries
+    and the manifest's correspondence strategy and seed, so the returned
+    preshapes share a dimension and a vertex correspondence.  Then each
+    entry, in manifest order, goes from its file to its preshape before the
+    next is read: the sample is held as preshapes plus one contour.  The
+    first entry that cannot be read, canonicalized or evaluated at the times
+    aborts the load, named by its id.
     """
-    curves = read_curves(manifest)
-    times = build_correspondence(curves, manifest.strategy, manifest.k, _substream(manifest.seed))
-    shapes = []
-    for (cid, _), curve in zip(manifest.entries, curves):
-        try:
-            shapes.append(preshape(evaluate(curve, times)))
-        except ContourStatError as err:
-            raise ManifestError(f"entry '{cid}': {err}") from err
-    return shapes, times
+    n = len(manifest.entries)
+    times = build_correspondence(n, manifest.strategy, manifest.k, _substream(manifest.seed))
+    return _each_entry(manifest, lambda c: preshape(evaluate(canonicalize(c), times))), times
 
 
 def read_curves(manifest: SampleManifest) -> list[ParamCurve]:
     """Read and canonicalize every manifest contour; a failure names its entry id."""
-    curves = []
+    return _each_entry(manifest, canonicalize)
+
+
+def _each_entry(manifest: SampleManifest, finish) -> list:
+    """``finish`` of each entry's contour, in manifest order; a failure names its entry id."""
+    done = []
     for cid, cpath in manifest.entries:
         try:
-            curves.append(canonicalize(read_contour(cpath)))
+            done.append(finish(read_contour(cpath)))
         except ContourStatError as err:
             raise ManifestError(f"entry '{cid}': {err}") from err
-    return curves
+    return done

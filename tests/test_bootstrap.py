@@ -230,7 +230,7 @@ class TestSpanPath:
             cs.canonicalize(wobbly_contour(200, amp3=0.2 + 0.02 * i, phase=0.1 * i))
             for i in range(5)
         ]
-        times = cs.build_correspondence(curves, "union-of-times", 25, np.random.default_rng(22))
+        times = cs.build_correspondence(len(curves), "union-of-times", 25, np.random.default_rng(22))
         assert times.k > 100
         sample = [cs.preshape(cs.evaluate(c, times)) for c in curves]
         region = cs.bootstrap_region(sample, B=50, alpha=0.05, seed=23)

@@ -270,6 +270,10 @@ class TestBadOptions:
             (["test", "--delta", "0", "--m0", "c0.csv"], "--delta must be positive, got 0"),
             (["test", "--delta", "nan", "--m0", "c0.csv"], "--delta must be positive, got nan"),
             (["test", "--delta", "-0.5", "--m0", "c0.csv"], "--delta must be positive, got -0.5"),
+            (
+                ["test", "--delta", "0.1", "--solve-delta", "--m0", "c0.csv"],
+                "test takes --delta or --solve-delta, not both",
+            ),
         ],
     )
     def test_exit_two_with_message(self, sample_dir, capsys, argv, message):
@@ -542,8 +546,8 @@ class TestCollapsedKgon:
         "plot": [],
     }
 
-    @pytest.mark.parametrize("command", COMMANDS)
-    def test_exit_two_naming_the_kgon(self, tmp_path, capsys, monkeypatch, command):
+    def run(self, tmp_path, monkeypatch, command, entries):
+        """Exit code of ``command`` on a seed 1, k 300 manifest of ``entries``, in the given order."""
         # far.csv is a valid square of side 8 at 2^50, where coordinates are
         # 0.25 apart; 300 times on its perimeter of 32 are 0.11 apart on average
         for i in range(2):
@@ -553,14 +557,28 @@ class TestCollapsedKgon:
         man = tmp_path / "far.manifest"
         man.write_text(
             "seed 1\nk 300\ncorrespondence shared-times\n"
-            "contour c0 c0.csv\ncontour c1 c1.csv\ncontour far far.csv\n"
+            + "".join(f"contour {cid} {cid}.csv\n" for cid in entries)
         )
         monkeypatch.chdir(tmp_path)
-        argv = [command, "--manifest", str(man), "--out", "out", *self.COMMANDS[command]]
-        assert main(argv) == 2
+        return main([command, "--manifest", str(man), "--out", "out", *self.COMMANDS[command]])
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_exit_two_naming_the_kgon(self, tmp_path, capsys, monkeypatch, command):
+        assert self.run(tmp_path, monkeypatch, command, ["c0", "c1", "far"]) == 2
         err = capsys.readouterr().err
         if command == "approx":  # its k-gons are drawn per contour, not per entry
             assert err == "error: a 300-gon has two equal consecutive points\n"
+        else:
+            assert err == "error: entry 'far': its 300-gon has two equal consecutive points\n"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_first_bad_entry_in_manifest_order_is_named(self, tmp_path, capsys, monkeypatch, command):
+        # 'far' is evaluated at the stopping times before the next entry, a
+        # missing file, is read; approx reads every entry before any k-gon
+        assert self.run(tmp_path, monkeypatch, command, ["far", "gone", "c0"]) == 2
+        err = capsys.readouterr().err
+        if command == "approx":
+            assert re.fullmatch(r"error: entry 'gone': \S*gone\.csv: cannot read file: .*\n", err), err
         else:
             assert err == "error: entry 'far': its 300-gon has two equal consecutive points\n"
 

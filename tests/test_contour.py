@@ -29,8 +29,7 @@ def union_of(monkeypatch, draws):
     """The union-of-times correspondence of len(draws) curves whose draws are ``draws``, in order."""
     given = iter(draws)
     monkeypatch.setattr(contour, "select_stopping_times", lambda k, rng: next(given))
-    curves = [cs.canonicalize(cs.Contour(UNIT_SQUARE))] * len(draws)
-    return cs.build_correspondence(curves, "union-of-times", 3, np.random.default_rng(0))
+    return cs.build_correspondence(len(draws), "union-of-times", 3, np.random.default_rng(0))
 
 
 def ngon(n, radius=1.0):
@@ -500,7 +499,7 @@ class TestRelativeLengthError:
 class TestCorrespondence:
     def test_shared_times_same_fractions_for_all(self):
         curves = [cs.canonicalize(wobbly_contour(200)), cs.canonicalize(wobbly_contour(300, phase=0.5))]
-        times = cs.build_correspondence(curves, "shared-times", 25, np.random.default_rng(3))
+        times = cs.build_correspondence(len(curves), "shared-times", 25, np.random.default_rng(3))
         gons = [cs.evaluate(c, times) for c in curves]
         # vertex j of each k-gon sits at the same arclength fraction of its own
         # curve, so index j corresponds across the sample
@@ -529,7 +528,7 @@ class TestCorrespondence:
         select = contour.select_stopping_times
         monkeypatch.setattr(contour, "select_stopping_times", recorded)
         curves = [cs.canonicalize(wobbly_contour(150)) for _ in range(3)]
-        times = cs.build_correspondence(curves, "union-of-times", 8, np.random.default_rng(5))
+        times = cs.build_correspondence(len(curves), "union-of-times", 8, np.random.default_rng(5))
         assert times.k <= 3 * 8
         assert times.k >= 8
         assert times.times[0] == 0.0
@@ -541,12 +540,11 @@ class TestCorrespondence:
 
     def test_empty_sample_rejected(self):
         with pytest.raises(ValueError):
-            cs.build_correspondence([], "shared-times", 10, np.random.default_rng(0))
+            cs.build_correspondence(0, "shared-times", 10, np.random.default_rng(0))
 
     def test_unknown_strategy_rejected(self):
-        curves = [cs.canonicalize(wobbly_contour(100))]
         with pytest.raises(ValueError):
-            cs.build_correspondence(curves, "sometimes", 10, np.random.default_rng(0))
+            cs.build_correspondence(1, "sometimes", 10, np.random.default_rng(0))
 
 
 class TestDerivedValuesAreFrozen:

@@ -337,7 +337,7 @@ def pipeline_statistics(sample_points, m0_points, k, seed, delta, phases=None):
     correspondence; ``phases`` multiplies each preshape (m0 last) by a unit scalar.
     """
     curves = [cs.canonicalize(cs.Contour(p)) for p in sample_points]
-    times = cs.build_correspondence(curves, "shared-times", k, np.random.default_rng(seed))
+    times = cs.build_correspondence(len(curves), "shared-times", k, np.random.default_rng(seed))
     shapes = [cs.preshape(cs.evaluate(c, times)) for c in curves]
     m0 = cs.preshape(cs.evaluate(cs.canonicalize(cs.Contour(m0_points)), times))
     if phases is not None:

@@ -123,6 +123,16 @@ def left_comb():
 SPUR_MASKS = [width_one_t(), disk_with_diagonal_spur(), left_comb()]
 
 
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call of ``fn``."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 def assert_same_trace(mask):
     trace = _trace_boundary(mask)
     try:
@@ -731,6 +741,38 @@ class TestManifest:
         coordinates = sum(s.dimension for s in shapes)
         assert coordinates == 12 * 100_000
         assert peak <= 30 * coordinates, peak / coordinates
+
+    def test_load_sample_holds_one_contour_beside_the_sample(self, tmp_path):
+        # each entry goes from its file to its preshape before the next is read,
+        # so loading 8 entries peaks above reading one of them by less than two
+        # canonical curves of 24 bytes per vertex (measured: about 1 byte per
+        # vertex; a load that held every curve at once measured 169)
+        K = 20_000
+        cs.write_contour(cs.Contour(wobbly_points(K)), tmp_path / "big.csv")
+        man = tmp_path / "m.manifest"
+        man.write_text("k 64\n" + "".join(f"contour id{i} big.csv\n" for i in range(8)))
+        manifest = cs.parse_manifest(man)
+        one = traced_peak(cs.read_contour, tmp_path / "big.csv")
+        peak = traced_peak(cs.load_sample, manifest)
+        assert peak - one < 2 * 24 * K, (peak - one) / K
+
+    @pytest.mark.parametrize(
+        "lines, repeated",
+        [
+            (["seed 1", "seed 2", "k 8", "k 9"], "2: repeated seed directive 'seed 2'"),
+            (["k 8", "contour a a.csv", "k 8"], "3: repeated k directive 'k 8'"),
+            (
+                ["correspondence shared-times", "correspondence  union-of-times"],
+                "2: repeated correspondence directive 'correspondence  union-of-times'",
+            ),
+        ],
+        ids=["seed", "k", "correspondence"],
+    )
+    def test_repeated_setting_rejected(self, tmp_path, lines, repeated):
+        man = tmp_path / "twice.manifest"
+        man.write_text("\n".join([*lines, "contour b b.csv"]) + "\n")
+        with pytest.raises(cs.ManifestError, match=re.escape(f"twice.manifest:{repeated}") + "$"):
+            cs.parse_manifest(man)
 
     def test_union_of_one_curve_matches_shared(self, tmp_path):
         names = self.make_files(tmp_path, n=1)

@@ -509,7 +509,7 @@ class TestThinSvdPath:
             cs.canonicalize(wobbly_contour(200, amp3=0.2 + 0.02 * i, phase=0.1 * i))
             for i in range(5)
         ]
-        times = cs.build_correspondence(curves, "union-of-times", 25, np.random.default_rng(42))
+        times = cs.build_correspondence(len(curves), "union-of-times", 25, np.random.default_rng(42))
         assert times.k > 100
         sample = [cs.preshape(cs.evaluate(c, times)) for c in curves]
         m0 = cs.preshape(cs.evaluate(cs.canonicalize(wobbly_contour(150, amp3=0.3)), times))

@@ -11,13 +11,15 @@ bootstrap, bootstrap with ``SHAPE_THREADS``, plot) as ``python -m
 contourstat`` against the ``src/`` of this checkout and of ``--base``.  Both
 workloads share their stopping times, so one more pass runs mean, both
 tests, bootstrap (B = 50) and plot on the shared-k300 files under a
-``union-of-times`` manifest at ``k 40``, a dimension of about 1,200.  A last
+``union-of-times`` manifest at ``k 40``, a dimension of about 1,200.  Another
 pass rewrites every masks-k8 mask and its m0 as P2, with a comment line
 between rows, and runs approx, mean, test ``--solve-delta`` and plot on them.
-It compares the exit codes, stdout and stderr (with the output directory
-replaced by ``<out>``) and the bytes of every file written, prints each
-difference, and exits 1 if there is any.  Files under ``bench/`` are only
-imported.
+A last pass points the middle entry of the masks-k8 manifest at a file that
+does not exist, and runs mean, test ``--solve-delta``, bootstrap and plot,
+which must fail alike.  It compares the exit codes, stdout and stderr (with
+the output directory replaced by ``<out>``) and the bytes of every file
+written, prints each difference, and exits 1 if there is any.  Files under
+``bench/`` are only imported.
 """
 
 from __future__ import annotations
@@ -102,6 +104,20 @@ def all_p2(inputs, directory: Path):
     )
 
 
+# the sample commands, which must fail alike at a missing entry
+MISSING_STEPS = ("mean", "solve-delta", "bootstrap", "plot")
+
+
+def missing_entry(inputs):
+    """``inputs`` with a second manifest whose middle contour names a file that does not exist."""
+    lines = inputs.manifest.read_text(encoding="ascii").splitlines()
+    middle = [i for i, line in enumerate(lines) if line.startswith("contour ")][len(inputs.contours) // 2]
+    lines[middle] = f"{lines[middle].rsplit(' ', 1)[0]} missing.pgm"
+    manifest = inputs.directory / "missing-entry.txt"
+    manifest.write_text("\n".join(lines) + "\n", encoding="ascii")
+    return replace(inputs, manifest=manifest)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--base", type=Path, required=True, help="the other checkout")
@@ -129,6 +145,7 @@ def main(argv=None) -> int:
         masks = "masks-k8"
         p2 = all_p2(inputs[masks], Path(tmp) / "all-p2")
         passes.append(("all-P2", WORKLOADS[masks], p2, P2_STEPS))
+        passes.append(("missing-entry", WORKLOADS[masks], missing_entry(inputs[masks]), MISSING_STEPS))
         for name, w, step_inputs, steps in passes:
             for step in steps:
                 got = {}
