@@ -172,17 +172,17 @@ def _merge_close_points(points: np.ndarray) -> np.ndarray:
 
 
 def _read_mask(path: Path) -> Contour:
-    mask = _read_pgm(path)
-    count = _count_components(mask)
+    cells = _read_pgm(path)
+    count = _count_components(cells)
     if count == 0:
         raise ParseError(path, None, "mask has no foreground pixels")
     if count > 1:
         raise ParseError(path, None, f"mask has {count} connected components; expected exactly 1")
-    pixels = _trace_boundary(mask)
-    height = mask.shape[0]
-    pts = np.array([complex(c, height - 1 - r) for r, c in pixels])
-    # traversal direction depends on the tracer; normalize to counterclockwise,
-    # keeping the scan-order start pixel first
+    flat = np.array(_trace_boundary(cells))
+    rows, width = cells.shape
+    pts = (flat % width - 1) + 1j * (rows - 2 - flat // width)  # pixel (r, c) at (c, height-1-r)
+    # to counterclockwise, the start pixel kept first: every trace of nonzero area of 35,049
+    # random one-component 6 x 6 masks ran clockwise, and a zero-area one keeps its order
     if _signed_area(pts) < 0:
         pts = np.concatenate((pts[:1], pts[1:][::-1]))
     return _build_contour(pts, path)
@@ -194,6 +194,10 @@ _PGM_TOKEN = re.compile(rb"(?:\s|#[^\n]*)*(\S*)")
 
 
 def _read_pgm(path: Path) -> np.ndarray:
+    """The mask as int8 cells: foreground 1, inside a one-cell background border.
+
+    Pixel (r, c) is ``cells[r + 1, c + 1]``; the component count and the trace pad no copy.
+    """
     try:
         data = path.read_bytes()
     except OSError as err:
@@ -229,20 +233,19 @@ def _read_pgm(path: Path) -> np.ndarray:
         raise ParseError(path, line_at(pos), f"PGM maxval too large: {maxval}")
     if magic == b"P5":
         pos += 1  # single whitespace byte after maxval
-        bytes_per = 1 if maxval < 256 else 2
-        need = width * height * bytes_per
-        raster = data[pos : pos + need]
-        if len(raster) != need:
-            raise ParseError(
-                path, None, f"P5 raster truncated: have {len(raster)} bytes, need {need}"
-            )
-        dtype = np.uint8 if bytes_per == 1 else np.dtype(">u2")
-        values = np.frombuffer(raster, dtype=dtype)
-        if np.any(values > maxval):
+        dtype = np.dtype(np.uint8 if maxval < 256 else ">u2")
+        need = width * height * dtype.itemsize
+        have = max(len(data) - pos, 0)
+        if have < need:
+            raise ParseError(path, None, f"P5 raster truncated: have {have} bytes, need {need}")
+        values = np.frombuffer(data, dtype, count=width * height, offset=pos)
+        if values.max() > maxval:
             raise ParseError(path, None, f"PGM sample exceeds maxval {maxval}")
     else:
         values = _p2_samples(data, pos, width * height, maxval, path)
-    return values.reshape(height, width) != 0
+    cells = np.zeros((height + 2, width + 2), dtype=np.int8)
+    np.not_equal(values.reshape(height, width), 0, out=cells[1:-1, 1:-1])
+    return cells
 
 
 # a '#' that starts a token runs to the end of its line; newlines stay, so
@@ -309,24 +312,20 @@ def _p2_samples(data: bytes, start: int, need: int, maxval: int, path: Path) -> 
     raise AssertionError("unreachable: some P2 sample failed the vectorized check")
 
 
-def _count_components(mask: np.ndarray) -> int:
-    """Number of 8-connected foreground components, by merging row runs.
+def _count_components(cells: np.ndarray) -> int:
+    """Number of 8-connected foreground components of :func:`_read_pgm`'s cells, by row runs.
 
-    Runs of foreground pixels are found with one difference of the mask, each
-    row followed by a background column.  A run [s, e) in row r touches the
-    runs [s', e') of row r+1 with s' <= e and e' >= s; with the flat keys
-    r * (cols + 1) + column those form one range, found by two searchsorted
-    calls.  The run graph is merged by hooking the larger root of every edge
-    to the smaller and then jumping pointers until every run points at its
-    root, repeated until no edge joins two roots.
+    The border ends every foreground run in its row, so the runs [s, e) are
+    where the flat cells differ from themselves shifted by one (each found one
+    cell early, which the searches do not see).  A run in row r touches the
+    runs [s', e') of row r+1 with s' <= e + width and e' >= s + width: one
+    range, found by two searchsorted calls.  The run graph is merged by hooking
+    the larger root of every edge to the smaller and then jumping pointers
+    until every run points at its root, repeated until no edge joins two roots.
     """
-    rows, cols = mask.shape
-    width = cols + 1
-    padded = np.zeros((rows, width), dtype=np.int8)
-    padded[:, :cols] = mask
-    step = np.diff(padded.ravel(), prepend=np.int8(0))
-    starts = np.flatnonzero(step == 1)
-    ends = np.flatnonzero(step == -1)
+    flat, width = cells.ravel(), cells.shape[1]
+    starts = np.flatnonzero(flat[1:] > flat[:-1])
+    ends = np.flatnonzero(flat[1:] < flat[:-1])
     lo = np.searchsorted(ends, starts + width, side="left")
     hi = np.searchsorted(starts, ends + width, side="right")
     counts = np.maximum(hi - lo, 0)
@@ -352,12 +351,12 @@ def _count_components(mask: np.ndarray) -> int:
 _MOORE = ((0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1))
 
 
-def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
-    """Moore-neighbor boundary trace of the first foreground pixel's component.
+def _trace_boundary(cells: np.ndarray) -> list[int]:
+    """Moore-neighbor boundary trace, as flat indices into :func:`_read_pgm`'s cells.
 
-    The boolean mask must have a foreground pixel; the top-most then left-most
-    starts, entered from the west.  The trace stops at the start pixel when its
-    next step goes to the second pixel (Gonzalez & Woods), which always happens:
+    The cells must hold a foreground pixel; their argmax, the top-most then
+    left-most, starts, entered from the west.  The trace stops at the start
+    pixel when its next step goes to the second pixel (Gonzalez & Woods), which always happens:
     1. After the first step, the backtrack is the ring cell scanned just before
        the pixel, so 4-adjacent to it: a state is a (foreground pixel,
        background 4-neighbour), at most 4 per pixel.
@@ -372,16 +371,12 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
        cycle (a two-pixel mask), so Jacob's criterion, re-entering the start
        pixel from the west, can fail: it does at a one-pixel-wide spur's tip.
     """
-    rows, cols = mask.shape
-    width = cols + 2
-    padded = np.zeros((rows + 2, width), dtype=np.uint8)
-    padded[1:-1, 1:-1] = mask
-    cells = padded.tobytes()  # probed by flat index: the background border needs no bounds check
+    width = cells.shape[1]
+    probe = cells.tobytes()  # probed by flat index: the border needs no bounds check
     offsets = [dr * width + dc for dr, dc in _MOORE]
     direction = {d: i for i, d in enumerate(offsets)}
     ring = offsets * 2  # ring[i] == offsets[i % 8] for i < 16
-    r0, c0 = divmod(int(mask.argmax()), cols)
-    start = (r0 + 1) * width + c0 + 1
+    start = int(cells.argmax())
 
     boundary = [start]
     cur, back = start, start - 1  # entered from the west
@@ -389,7 +384,7 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
         bi = direction[back - cur]
         for i in range(bi + 1, bi + 9):
             nxt = cur + ring[i]
-            if cells[nxt]:
+            if probe[nxt]:
                 back = cur + ring[i - 1]
                 break
         else:
@@ -399,7 +394,7 @@ def _trace_boundary(mask: np.ndarray) -> list[tuple[int, int]]:
             break
         cur = nxt
         boundary.append(cur)
-    return [(i // width - 1, i % width - 1) for i in boundary]
+    return boundary
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ import pytest
 
 import contourstat as cs
 from contourstat.contour import _arc_centroid, _fill, _require_finite, _signed_area
-from contourstat.ingestion import MERGE_TOL
+from contourstat.ingestion import MERGE_TOL, _trace_boundary
 from contourstat.shape_space import _approx_rows
 
 
@@ -365,6 +365,17 @@ def moore_trace(mask):
             return boundary
         boundary.append(cur)
     raise AssertionError("boundary tracing did not terminate")
+
+
+def bordered(mask):
+    """``mask`` as ``ingestion._read_pgm`` reads it: int8 cells, foreground 1, in a background border."""
+    return np.pad((np.asarray(mask) != 0).astype(np.int8), 1)
+
+
+def trace_pixels(mask):
+    """``ingestion._trace_boundary`` of ``mask``, as (row, col) pixels of ``mask``."""
+    width = mask.shape[1] + 2
+    return [(i // width - 1, i % width - 1) for i in _trace_boundary(bordered(mask))]
 
 
 def _flood(region, seed, steps):

@@ -14,13 +14,16 @@ from hypothesis.extra.numpy import arrays
 import contourstat as cs
 from contourstat import ingestion
 from contourstat.cli import main
-from contourstat.ingestion import _count_components, _read_pgm, _trace_boundary
+from contourstat.contour import _signed_area
+from contourstat.ingestion import _count_components, _read_pgm
 from support import (  # noqa: F401 (public_constructors_agree is a fixture)
     assert_outer_boundary_walk,
+    bordered,
     flood_fill_components,
     moore_trace,
     public_constructors_agree,
     read_csv_oracle,
+    trace_pixels,
     wobbly_points,
 )
 
@@ -133,8 +136,30 @@ def traced_peak(fn, *args) -> int:
         tracemalloc.stop()
 
 
+def assert_points_pinned(mask, directory):
+    """``read_contour`` of ``mask`` as P5 and as P2 gives the bits of a per-pixel reference.
+
+    The reference is the traced pixels (r, c) as ``complex(c, height - 1 - r)``,
+    all but the first reversed when their signed area is negative.
+    """
+    height = mask.shape[0]
+    expected = np.array([complex(c, height - 1 - r) for r, c in trace_pixels(mask)])
+    if _signed_area(expected) < 0:
+        expected = np.concatenate((expected[:1], expected[1:][::-1]))
+    write_pgm_p5(directory / "m5.pgm", mask.astype(np.uint8) * 255)
+    write_pgm_p2(directory / "m2.pgm", mask.astype(np.uint8) * 255)
+    for name in ("m5.pgm", "m2.pgm"):
+        try:
+            points = cs.read_contour(directory / name).points
+        except cs.ParseError:  # a degenerate trace, such as a line: no contour either way
+            with pytest.raises(cs.DegenerateContourError):
+                cs.Contour(expected)
+        else:
+            assert points.tobytes() == expected.tobytes()
+
+
 def assert_same_trace(mask):
-    trace = _trace_boundary(mask)
+    trace = trace_pixels(mask)
     try:
         expected = moore_trace(mask)
     except AssertionError:
@@ -379,13 +404,31 @@ class TestReadMask:
         f = tmp_path / "m.pgm"
         # one whitespace byte ends the header: the separator's last
         f.write_bytes(sep.join([b"P5", b"3", b"3", b"255"]) + sep[-1:] + raster)
-        assert np.array_equal(_read_pgm(f), np.frombuffer(raster, np.uint8).reshape(3, 3) != 0)
+        assert np.array_equal(_read_pgm(f), bordered(np.frombuffer(raster, np.uint8).reshape(3, 3)))
 
     def test_truncated_raster(self, tmp_path):
         f = tmp_path / "m.pgm"
         f.write_bytes(b"P5\n4 4\n255\n" + bytes(7))
         with pytest.raises(cs.ParseError, match="truncated"):
             cs.read_contour(f)
+
+    @pytest.mark.parametrize(
+        "data, counts",
+        [
+            (b"P5\n4 4\n255\n" + bytes(7), "have 7 bytes, need 16"),
+            (b"P5\n4 4\n255\n" + bytes(15), "have 15 bytes, need 16"),
+            (b"P5\n2 3\n65535\n" + bytes(11), "have 11 bytes, need 12"),
+            (b"P5\n4 4\n255\n", "have 0 bytes, need 16"),
+            (b"P5\n4 4\n255", "have 0 bytes, need 16"),
+        ],
+        ids=["short", "one-short", "16-bit", "empty", "no-whitespace-byte"],
+    )
+    def test_truncated_raster_names_byte_counts(self, tmp_path, data, counts):
+        f = tmp_path / "m.pgm"
+        f.write_bytes(data)
+        with pytest.raises(cs.ParseError) as info:
+            _read_pgm(f)
+        assert str(info.value) == f"{f}: P5 raster truncated: {counts}"
 
     def test_counterclockwise_after_normalization(self, tmp_path):
         f = tmp_path / "m.pgm"
@@ -553,7 +596,7 @@ class TestMaskComponents:
         mask = np.zeros((12, 12), dtype=np.uint8)
         mask[2:6, 2:6] = 1
         mask[6:10, 6:10] = 1
-        assert _count_components(mask.astype(bool)) == 1
+        assert _count_components(bordered(mask)) == 1
         f = tmp_path / "m.pgm"
         write_pgm_p5(f, mask)
         assert len(cs.read_contour(f)) >= 3
@@ -562,7 +605,7 @@ class TestMaskComponents:
     @settings(max_examples=200, deadline=None)
     @given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
     def test_label_count_matches_flood_fill(self, mask):
-        assert _count_components(mask) == flood_fill_components(mask)
+        assert _count_components(bordered(mask)) == flood_fill_components(mask)
 
     @pytest.mark.parametrize(
         "name, mask",
@@ -588,13 +631,13 @@ class TestMaskComponents:
         ],
     )
     def test_fixed_mask_count_matches_flood_fill(self, name, mask):
-        assert _count_components(mask) == flood_fill_components(mask)
+        assert _count_components(bordered(mask)) == flood_fill_components(mask)
 
     def test_large_vertical_serpentine_is_one_component(self):
         # one path of ~500,000 pixels whose run graph is a chain of ~500,000 runs
         mask = serpentine(1001)
-        assert _count_components(mask) == 1
-        assert _count_components(mask.T) == 1
+        assert _count_components(bordered(mask)) == 1
+        assert _count_components(bordered(mask.T)) == 1
 
 
 class TestTraceBoundary:
@@ -630,7 +673,18 @@ class TestTraceBoundary:
     def test_spur_tip_start_closes_the_outer_boundary(self, mask):
         with pytest.raises(AssertionError, match="did not terminate"):
             moore_trace(mask)
-        assert_outer_boundary_walk(mask, _trace_boundary(mask))
+        assert_outer_boundary_walk(mask, trace_pixels(mask))
+
+    @pytest.mark.parametrize("mask", SPUR_MASKS, ids=["t", "disk-spur", "comb"])
+    def test_spur_mask_points_match_per_pixel_reference(self, mask, tmp_path):
+        assert_points_pinned(mask, tmp_path)
+
+    @pytest.mark.usefixtures("public_constructors_agree")
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 16), st.integers(1, 16))))
+    def test_random_mask_points_match_per_pixel_reference(self, tmp_path_factory, mask):
+        if flood_fill_components(mask) == 1:
+            assert_points_pinned(mask, tmp_path_factory.mktemp("points"))
 
     @pytest.mark.parametrize("mask", SPUR_MASKS, ids=["t", "disk-spur", "comb"])
     def test_spur_masks_plot(self, mask, tmp_path):

@@ -15,11 +15,12 @@ tests, bootstrap (B = 50) and plot on the shared-k300 files under a
 pass rewrites every masks-k8 mask and its m0 as P2, with a comment line
 between rows, and runs approx, mean, test ``--solve-delta`` and plot on them.
 A last pass points the middle entry of the masks-k8 manifest at a file that
-does not exist, and runs mean, test ``--solve-delta``, bootstrap and plot,
-which must fail alike.  It compares the exit codes, stdout and stderr (with
-the output directory replaced by ``<out>``) and the bytes of every file
-written, prints each difference, and exits 1 if there is any.  Files under
-``bench/`` are only imported.
+does not exist, and runs approx (which reads every entry before it fails),
+mean, test ``--solve-delta``, bootstrap and plot, which must fail alike.  It
+compares the exit codes, stdout and stderr (with the output directory
+replaced by ``<out>``) and the bytes of every file written, prints each
+difference, and exits 1 if there is any.  Files under ``bench/`` are only
+imported.
 """
 
 from __future__ import annotations
@@ -104,8 +105,8 @@ def all_p2(inputs, directory: Path):
     )
 
 
-# the sample commands, which must fail alike at a missing entry
-MISSING_STEPS = ("mean", "solve-delta", "bootstrap", "plot")
+# approx and the sample commands, which must fail alike at a missing entry
+MISSING_STEPS = ("approx", "mean", "solve-delta", "bootstrap", "plot")
 
 
 def missing_entry(inputs):
